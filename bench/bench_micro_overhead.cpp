@@ -17,6 +17,7 @@
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/cusum.hpp"
 #include "syndog/net/packet.hpp"
+#include "syndog/net/syn_cookie.hpp"
 #include "syndog/obs/wallclock.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -89,16 +90,16 @@ BENCHMARK(BM_SynDogObservePeriod);
 
 /// Contrast: the per-SYN cost of the stateful victim-side alternatives.
 void BM_SynCookieMakeVerify(benchmark::State& state) {
-  core::SynCookieCodec codec(0xfeedface);
+  net::SynCookieCodec codec(0xfeedface);
   util::Rng rng(4);
-  std::uint64_t counter = 17;
+  std::uint32_t counter = 17;
   for (auto _ : state) {
-    core::ConnKey key{net::Ipv4Address{rng.next_u32()},
-                      static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
-                      80};
+    const net::Ipv4Address peer{rng.next_u32()};
+    const auto port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
     const std::uint32_t isn = rng.next_u32();
-    const std::uint32_t cookie = codec.make(key, isn, counter);
-    benchmark::DoNotOptimize(codec.verify(key, isn, cookie, counter));
+    const std::uint32_t cookie = codec.make(peer, port, 80, isn, counter);
+    benchmark::DoNotOptimize(
+        codec.verify(peer, port, 80, isn, cookie, counter));
   }
 }
 BENCHMARK(BM_SynCookieMakeVerify);

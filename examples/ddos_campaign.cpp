@@ -18,6 +18,7 @@
 #include "syndog/attack/campaign.hpp"
 #include "syndog/core/mitigate.hpp"
 #include "syndog/core/syndog.hpp"
+#include "syndog/net/syn_cookie.hpp"
 #include "syndog/trace/periods.hpp"
 #include "syndog/trace/site.hpp"
 #include "syndog/util/strings.hpp"
@@ -143,7 +144,7 @@ int main() {
 
   // SYN cookies keep zero state -- but pay per-SYN computation and still
   // learn nothing about where the flood comes from.
-  core::SynCookieCodec codec(0x5ec2e7);
+  net::SynCookieCodec codec(0x5ec2e7);
   std::uint64_t verified = 0;
   for (int i = 0; i < 100000; ++i) {
     const core::ConnKey key{net::Ipv4Address{rng.next_u32()},
@@ -151,8 +152,10 @@ int main() {
                                 rng.uniform_int(1024, 65535)),
                             80};
     const std::uint32_t isn = rng.next_u32();
-    const std::uint32_t cookie = codec.make(key, isn, 1);
-    verified += codec.verify(key, isn, cookie, 1);
+    const std::uint32_t cookie =
+        codec.make(key.client_ip, key.client_port, key.server_port, isn, 1);
+    verified += codec.verify(key.client_ip, key.client_port,
+                             key.server_port, isn, cookie, 1);
   }
   std::printf(
       "SYN cookies (stateless at the victim): %llu/100000 make+verify "

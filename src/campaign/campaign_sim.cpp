@@ -1,7 +1,6 @@
 #include "syndog/campaign/campaign_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -63,14 +62,7 @@ void CampaignParams::validate() const {
         "CampaignSim: window must lie in (0, min(uplink, downlink)] "
         "(0 = auto)");
   }
-  if (!(no_answer_probability >= 0.0 && no_answer_probability < 1.0)) {
-    throw std::invalid_argument(
-        "CampaignSim: no_answer_probability in [0,1)");
-  }
-  if (!(rtt_median_s > 0.0) || rtt_sigma < 0.0) {
-    throw std::invalid_argument(
-        "CampaignSim: rtt_median_s > 0 and rtt_sigma >= 0 required");
-  }
+  sim::ResponderParams::validate();
   const std::uint32_t v = victim_ip.value();
   const std::uint32_t stub_space_end =
       kStubBase + (static_cast<std::uint32_t>(stub_count) << 12);
@@ -266,85 +258,32 @@ void CampaignSim::on_uplink(int stub, const net::Packet& packet) {
 
 void CampaignSim::respond(int stub, const net::Packet& packet) {
   // The stub-local stand-in for sim::InternetCloud's generic server
-  // space: same segment semantics, same bernoulli/ISN/RTT draw order per
-  // arriving segment — but from this stub's own child Rng.
+  // space, drawing from this stub's own child Rng.
   StubNet& sn = *stubs_[static_cast<std::size_t>(stub)];
-  if (!packet.tcp) {
-    ++sn.responder.absorbed_elsewhere;
-    return;
-  }
-  const net::TcpFlags flags = packet.tcp->flags;
-  if (flags.syn() && !flags.ack()) {
-    ++sn.responder.syns_seen;
-    if (sn.responder_rng.bernoulli(params_.no_answer_probability)) {
+  sim::ResponderReply reply =
+      sim::respond_generic(packet, params_, sn.responder_rng);
+  switch (reply.action) {
+    case sim::ResponderAction::kIgnore:
+      ++sn.responder.absorbed_elsewhere;
+      return;
+    case sim::ResponderAction::kNoAnswer:
+      ++sn.responder.syns_seen;
       ++sn.responder.unanswered;
       return;
-    }
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.seq = sn.responder_rng.next_u32();
-    spec.ack = packet.tcp->seq + 1;
-    ++sn.responder.syn_acks_generated;
-    schedule_reply(stub, net::make_syn_ack(spec));
-    return;
+    case sim::ResponderAction::kSynAck:
+      ++sn.responder.syns_seen;
+      ++sn.responder.syn_acks_generated;
+      break;
+    case sim::ResponderAction::kFinalAck:
+    case sim::ResponderAction::kFinAck:
+      break;
   }
-  if (flags.syn() && flags.ack()) {
-    // A stub server accepted a remote client's connection; complete the
-    // handshake with the final ACK so half-open slots drain.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::ack_only();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    schedule_reply(stub, net::make_tcp_packet(spec));
-    return;
-  }
-  if (flags.fin()) {
-    // Passive close: the far side reciprocates with FIN|ACK.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::fin_ack();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    schedule_reply(stub, net::make_tcp_packet(spec));
-    return;
-  }
-  // Final ACKs, data, RSTs terminate silently at the generic space.
-  ++sn.responder.absorbed_elsewhere;
-}
-
-void CampaignSim::schedule_reply(int stub, net::Packet reply) {
-  StubNet& sn = *stubs_[static_cast<std::size_t>(stub)];
-  // rtt_sigma == 0: deterministic median, no draw — lognormal(mu, 0) is
-  // undefined, and skipping the draw keeps the responder stream aligned
-  // with the oracle cloud's under the deterministic profile.
-  const double rtt =
-      params_.rtt_sigma > 0.0
-          ? sn.responder_rng.lognormal(std::log(params_.rtt_median_s),
-                                       params_.rtt_sigma)
-          : params_.rtt_median_s;
   Cell& cell = *cells_[static_cast<std::size_t>(cell_of(stub))];
   sim::Scheduler* sched = &cell.sched;
   sim::LeafRouter* router = sn.router.get();
   cell.sched.schedule_after(
-      params_.uplink_delay + util::SimTime::from_seconds(rtt) +
-          params_.downlink_delay,
-      [sched, router, h = sched->packets().acquire(std::move(reply))] {
+      params_.uplink_delay + reply.rtt + params_.downlink_delay,
+      [sched, router, h = sched->packets().acquire(std::move(reply.packet))] {
         router->forward_from_internet(sched->now(), *h);
       });
 }

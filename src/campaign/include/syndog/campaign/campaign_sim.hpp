@@ -22,10 +22,10 @@
 //
 // Wide-area traffic model: there is no shared InternetCloud. Packets a
 // stub sends to generic Internet space are answered by a *per-stub
-// responder* (same semantics and timing as sim::InternetCloud — one
-// bernoulli no-answer draw, a synthesized SYN/ACK after uplink + RTT +
-// downlink — but drawing from the stub's own child Rng, which is what
-// makes the shards independent). Packets addressed to the victim cross
+// responder* that calls sim::respond_generic — the function the oracle
+// cloud calls — with the reply arriving after uplink + RTT + downlink,
+// but drawing from the stub's own child Rng, which is what makes the
+// shards independent. Packets addressed to the victim cross
 // via mailbox; victim replies into a stub prefix cross back the same
 // way; replies to the spoofed 240/8 pool die at the victim's edge
 // exactly like the oracle's unreachable pool.
@@ -43,6 +43,7 @@
 #include "syndog/core/syndog.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
+#include "syndog/sim/responder.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
 #include "syndog/sim/tcp_host.hpp"
@@ -51,7 +52,8 @@
 
 namespace syndog::campaign {
 
-struct CampaignParams {
+/// The inherited sim::ResponderParams drive each stub's responder.
+struct CampaignParams : sim::ResponderParams {
   /// Stub networks, in [1, kMaxStubs]. Stub `s` owns the /20 prefix
   /// based at 10.0.0.0 + (s << 12) — up to 4094 addressable hosts each.
   int stub_count = 4;
@@ -72,12 +74,6 @@ struct CampaignParams {
   /// Conservative window width; 0 = auto (the lookahead, min(uplink,
   /// downlink)). Must not exceed the lookahead.
   util::SimTime window = util::SimTime::zero();
-  /// Per-stub responder model (mirrors sim::CloudParams).
-  double no_answer_probability = 0.05;
-  double rtt_median_s = 0.080;
-  /// rtt_sigma == 0 selects the deterministic RTT (exactly rtt_median_s,
-  /// no draw), the same seam sim::InternetCloud honours.
-  double rtt_sigma = 0.35;
   net::Ipv4Address victim_ip{198, 51, 100, 10};
   std::uint16_t victim_port = 80;
   /// Victim replies into this pool die at the victim's edge (the oracle
@@ -258,10 +254,10 @@ class CampaignSim {
   /// Router uplink sink for stub `stub`: victim-bound -> outbox,
   /// generic -> responder. Runs inside cell execution.
   void on_uplink(int stub, const net::Packet& packet);
+  /// Answers a generic-space segment and schedules the reply to
+  /// re-enter stub `stub` after uplink + RTT + downlink (the oracle
+  /// cloud's round-trip timing).
   void respond(int stub, const net::Packet& packet);
-  /// Schedules a responder reply to re-enter stub `stub` after uplink +
-  /// RTT + downlink (the oracle cloud's round-trip timing).
-  void schedule_reply(int stub, net::Packet reply);
   void note_injection(util::SimTime arrive_at, util::SimTime barrier);
   /// Victim TcpHost send sink: stub-bound -> victim outbox, spoof pool
   /// -> dropped. Runs inside victim-cell execution.

@@ -1,11 +1,11 @@
 // Victim-side defenses (the stateful prior art of paper §1).
 //
-// SYN cookies and SYN caches mitigate the *effect* of a flood at the
-// victim but keep per-connection state or computation there, cannot name
-// the flooding sources, and leave tracing to expensive IP traceback.
-// They are implemented here as comparators: the ddos_campaign example and
-// the ablation benches contrast their per-victim cost against SYN-dog's
-// two counters at the leaf router.
+// SYN caches (here) and SYN cookies (net::SynCookieCodec) mitigate the
+// *effect* of a flood at the victim but keep per-connection state or
+// computation there, cannot name the flooding sources, and leave tracing
+// to expensive IP traceback. They are implemented as comparators: the
+// ddos_campaign example and the ablation benches contrast their
+// per-victim cost against SYN-dog's two counters at the leaf router.
 #pragma once
 
 #include <cstdint>
@@ -28,34 +28,6 @@ struct ConnKey {
     return (std::uint64_t{client_ip.value()} << 32) |
            (std::uint64_t{client_port} << 16) | server_port;
   }
-};
-
-/// Stateless SYN-cookie codec (Bernstein-style): the server's ISN encodes
-/// a keyed hash of the connection tuple plus a coarse time counter, so the
-/// final ACK can be validated with zero stored state. The cost moves from
-/// memory to per-SYN computation — which is why cookie-protected servers
-/// still fall to high-rate floods (the 14,000 SYN/s figure of [8]).
-class SynCookieCodec {
- public:
-  explicit SynCookieCodec(std::uint64_t secret) : secret_(secret) {}
-
-  /// Cookie issued as the server ISN. `time_counter` should advance every
-  /// ~64 s; the low 3 bits of the cookie carry it.
-  [[nodiscard]] std::uint32_t make(const ConnKey& key,
-                                   std::uint32_t client_isn,
-                                   std::uint64_t time_counter) const;
-
-  /// Validates the ISN echoed in a final ACK (ack-1). Accepts the current
-  /// and previous counter value.
-  [[nodiscard]] bool verify(const ConnKey& key, std::uint32_t client_isn,
-                            std::uint32_t cookie,
-                            std::uint64_t now_counter) const;
-
- private:
-  [[nodiscard]] std::uint32_t mac(const ConnKey& key,
-                                  std::uint32_t client_isn,
-                                  std::uint64_t counter) const;
-  std::uint64_t secret_;
 };
 
 /// Bounded half-open store with oldest-first eviction (a SYN cache).

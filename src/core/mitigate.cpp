@@ -2,43 +2,7 @@
 
 #include <stdexcept>
 
-#include "syndog/util/rng.hpp"
-
 namespace syndog::core {
-
-std::uint32_t SynCookieCodec::mac(const ConnKey& key,
-                                  std::uint32_t client_isn,
-                                  std::uint64_t counter) const {
-  // Two SplitMix64 rounds keyed by the secret; cheap and adequate for a
-  // simulation-grade keyed hash.
-  std::uint64_t x = secret_;
-  x = util::splitmix64(x ^ key.packed());
-  x = util::splitmix64(x ^ client_isn);
-  x = util::splitmix64(x ^ counter);
-  return static_cast<std::uint32_t>(x >> 32);
-}
-
-std::uint32_t SynCookieCodec::make(const ConnKey& key,
-                                   std::uint32_t client_isn,
-                                   std::uint64_t time_counter) const {
-  // Top 29 bits: truncated MAC; bottom 3 bits: time counter mod 8.
-  const std::uint32_t tag = mac(key, client_isn, time_counter) & ~0x7u;
-  return tag | static_cast<std::uint32_t>(time_counter & 0x7);
-}
-
-bool SynCookieCodec::verify(const ConnKey& key, std::uint32_t client_isn,
-                            std::uint32_t cookie,
-                            std::uint64_t now_counter) const {
-  const std::uint32_t encoded = cookie & 0x7;
-  // Accept the current and previous counter window whose low bits match.
-  for (std::uint64_t back = 0; back <= 1; ++back) {
-    if (now_counter < back) break;
-    const std::uint64_t counter = now_counter - back;
-    if ((counter & 0x7) != encoded) continue;
-    if (make(key, client_isn, counter) == cookie) return true;
-  }
-  return false;
-}
 
 SynCache::SynCache(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) {

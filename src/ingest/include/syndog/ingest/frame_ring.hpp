@@ -11,8 +11,9 @@
 //
 // Concurrency contract: exactly one producer thread calls try_claim() /
 // publish(); exactly one consumer thread calls readable() / release().
-// In the pipeline's default single-threaded mode both roles run on the
-// same thread and the atomics collapse to plain loads/stores. Capacity is
+// In CapturePipeline both roles run on the same thread and the atomics
+// collapse to plain loads/stores; ShardedReplay splits them across
+// threads. Capacity is
 // rounded up to a power of two so index masking replaces modulo.
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
@@ -113,8 +114,8 @@ class SlotRing {
  private:
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  /// Producer and consumer cursors on separate cache lines so the
-  /// two-thread mode does not false-share. `cached_tail_` is
+  /// Producer and consumer cursors on separate cache lines so a
+  /// cross-thread pair does not false-share. `cached_tail_` is
   /// producer-owned (a conservative, monotonic snapshot of `tail_`) and
   /// shares the producer's line deliberately.
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next slot to write

@@ -8,13 +8,9 @@
 // buffer, decoded packets overwrite recycled ring slots, and batches are
 // spans over the ring.
 //
-// Modes:
-//   * single-threaded (default): produce until the ring fills or the
-//     source ends, then drain; byte-deterministic, used by every bench.
-//   * threaded: a producer thread decodes while the calling thread
-//     dispatches. Delivered/dropped *counts* match the single-threaded
-//     mode under kBlock sinks; batch boundaries may differ. Exercised by
-//     the tsan suite, never by benches.
+// It runs on the calling thread, alternating: produce until the ring
+// fills or the source ends, then drain. Multi-core ingest is
+// ShardedReplay (sharded.hpp).
 //
 // No std::function anywhere in this header: sinks are virtual interfaces
 // bound once at wiring time, so the per-batch hot path is a devirtualized
@@ -58,7 +54,6 @@ class FrameSink {
 struct PipelineConfig {
   std::size_t ring_capacity = 1024;  ///< rounded up to a power of two
   std::size_t batch_size = 64;       ///< max frames per on_batch call
-  bool threaded = false;             ///< two-thread producer/consumer mode
   void validate() const;
 };
 
@@ -114,8 +109,6 @@ class CapturePipeline {
   void dispatch_chunk(std::span<const Frame> chunk);
   /// Dispatches every readable frame in chunks of <= batch_size.
   void drain_all();
-  void run_single_threaded();
-  void run_threaded();
   void publish_observations();
 
   CaptureSource source_;

@@ -1,9 +1,6 @@
 #include "syndog/ingest/pipeline.hpp"
 
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
 #include "syndog/net/packet.hpp"
 
@@ -89,7 +86,11 @@ void CapturePipeline::drain_all() {
   }
 }
 
-void CapturePipeline::run_single_threaded() {
+void CapturePipeline::run() {
+  if (ran_) {
+    throw std::logic_error("CapturePipeline: run() called twice");
+  }
+  ran_ = true;
   bool more = true;
   while (more) {
     // Fill phase: decode until the ring is full or the capture ends...
@@ -105,60 +106,6 @@ void CapturePipeline::run_single_threaded() {
     // ...then drain everything. Strict alternation keeps batch shapes a
     // pure function of the capture bytes and the config.
     drain_all();
-  }
-}
-
-void CapturePipeline::run_threaded() {
-  std::atomic<bool> done{false};  ///< producer finished (or errored)
-  std::atomic<bool> stop{false};  ///< consumer errored; producer must bail
-  std::exception_ptr producer_error;
-  std::thread producer([&] {
-    try {
-      while (!stop.load(std::memory_order_acquire)) {
-        Frame* slot = ring_.try_claim();
-        if (slot == nullptr) {
-          std::this_thread::yield();  // ring full: consumer is behind
-          continue;
-        }
-        if (!produce_into(*slot)) break;
-        ring_.publish();
-      }
-    } catch (...) {
-      producer_error = std::current_exception();
-    }
-    done.store(true, std::memory_order_release);
-  });
-
-  try {
-    for (;;) {
-      const std::span<const Frame> run = ring_.readable();
-      if (run.empty()) {
-        if (done.load(std::memory_order_acquire) && ring_.empty()) break;
-        std::this_thread::yield();
-        continue;
-      }
-      const std::size_t take = std::min(run.size(), cfg_.batch_size);
-      dispatch_chunk(run.first(take));
-      ring_.release(take);
-    }
-  } catch (...) {
-    stop.store(true, std::memory_order_release);
-    producer.join();
-    throw;
-  }
-  producer.join();
-  if (producer_error) std::rethrow_exception(producer_error);
-}
-
-void CapturePipeline::run() {
-  if (ran_) {
-    throw std::logic_error("CapturePipeline: run() called twice");
-  }
-  ran_ = true;
-  if (cfg_.threaded) {
-    run_threaded();
-  } else {
-    run_single_threaded();
   }
   stats_.truncated = source_.end_state() == pcap::ReadEnd::kTruncated;
   publish_observations();

@@ -1,6 +1,5 @@
 #include "syndog/sim/cloud.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace syndog::sim {
@@ -11,12 +10,8 @@ InternetCloud::InternetCloud(Scheduler& scheduler, CloudParams params,
   if (!downlink) {
     throw std::invalid_argument("InternetCloud: downlink required");
   }
+  params_.validate();
   stub_routes_.emplace_back(params_.stub_prefix, std::move(downlink));
-  if (!(params_.no_answer_probability >= 0.0 &&
-        params_.no_answer_probability < 1.0)) {
-    throw std::invalid_argument(
-        "InternetCloud: no_answer_probability in [0,1)");
-  }
 }
 
 void InternetCloud::attach_host(net::Ipv4Address ip, TcpHost* host) {
@@ -55,73 +50,27 @@ void InternetCloud::receive(const net::Packet& packet) {
     ++stats_.dropped_unreachable;
     return;
   }
-  if (!packet.tcp) return;
-
-  const net::TcpFlags flags = packet.tcp->flags;
-  if (flags.syn() && !flags.ack()) {
-    ++stats_.syns_seen;
-    if (rng_.bernoulli(params_.no_answer_probability)) {
+  ResponderReply reply = respond_generic(packet, params_, rng_);
+  switch (reply.action) {
+    case ResponderAction::kNoAnswer:
+      ++stats_.syns_seen;
       ++stats_.unanswered;
       return;
-    }
-    synthesize_syn_ack(packet);
-    return;
+    case ResponderAction::kSynAck:
+      ++stats_.syns_seen;
+      ++stats_.syn_acks_generated;
+      break;
+    case ResponderAction::kIgnore:
+      return;
+    case ResponderAction::kFinalAck:
+    case ResponderAction::kFinAck:
+      break;
   }
-  if (flags.syn() && flags.ack()) {
-    // A stub server accepted a connection from a generic remote client;
-    // complete its handshake with the final ACK so half-open slots drain.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(0xfffffe);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::ack_only();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    net::Packet ack = net::make_tcp_packet(spec);
-    const double rtt =
-        params_.rtt_sigma > 0
-            ? rng_.lognormal(std::log(params_.rtt_median_s),
-                             params_.rtt_sigma)
-            : params_.rtt_median_s;
-    scheduler_.schedule_after(
-        util::SimTime::from_seconds(rtt),
-        [this, h = scheduler_.packets().acquire(std::move(ack))] {
-          route(*h);
-        });
-  }
-  if (flags.fin()) {
-    // A stub client closing its connection to a generic server: the far
-    // side reciprocates with its own FIN|ACK so the teardown completes
-    // (paper Fig. 1's passive close).
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(0xfffffe);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::fin_ack();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    net::Packet fin = net::make_tcp_packet(spec);
-    const double rtt =
-        params_.rtt_sigma > 0
-            ? rng_.lognormal(std::log(params_.rtt_median_s),
-                             params_.rtt_sigma)
-            : params_.rtt_median_s;
-    scheduler_.schedule_after(
-        util::SimTime::from_seconds(rtt),
-        [this, h = scheduler_.packets().acquire(std::move(fin))] {
-          route(*h);
-        });
-    return;
-  }
-  // Other segment kinds (final ACKs, data) terminate silently at the
-  // generic server space; nothing about them matters to the handshake
-  // counts the detector sees.
+  scheduler_.schedule_after(
+      reply.rtt,
+      [this, h = scheduler_.packets().acquire(std::move(reply.packet))] {
+        route(*h);
+      });
 }
 
 void InternetCloud::route(const net::Packet& packet) {
@@ -144,32 +93,6 @@ void InternetCloud::route(const net::Packet& packet) {
     return;
   }
   ++stats_.absorbed_elsewhere;
-}
-
-void InternetCloud::synthesize_syn_ack(const net::Packet& syn) {
-  net::TcpPacketSpec spec;
-  // The reply emerges from the cloud with the router as next hop; MAC
-  // addresses on the wide-area side are not meaningful to the stub.
-  spec.src_mac = net::MacAddress::for_host(0xfffffe);
-  spec.dst_mac = syn.eth.src;
-  spec.src_ip = syn.ip.dst;
-  spec.dst_ip = syn.ip.src;
-  spec.src_port = syn.tcp->dst_port;
-  spec.dst_port = syn.tcp->src_port;
-  spec.seq = rng_.next_u32();
-  spec.ack = syn.tcp->seq + 1;
-  net::Packet reply = net::make_syn_ack(spec);
-
-  const double rtt =
-      params_.rtt_sigma > 0
-          ? rng_.lognormal(std::log(params_.rtt_median_s), params_.rtt_sigma)
-          : params_.rtt_median_s;
-  ++stats_.syn_acks_generated;
-  scheduler_.schedule_after(
-      util::SimTime::from_seconds(rtt),
-      [this, h = scheduler_.packets().acquire(std::move(reply))] {
-        route(*h);
-      });
 }
 
 }  // namespace syndog::sim

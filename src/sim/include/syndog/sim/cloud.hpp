@@ -13,23 +13,15 @@
 
 #include "syndog/net/packet.hpp"
 #include "syndog/sim/callbacks.hpp"
+#include "syndog/sim/responder.hpp"
 #include "syndog/sim/scheduler.hpp"
 #include "syndog/sim/tcp_host.hpp"
 #include "syndog/util/rng.hpp"
 
 namespace syndog::sim {
 
-struct CloudParams {
-  /// Probability a generic remote server fails to answer a SYN.
-  double no_answer_probability = 0.05;
-  /// Median/dispersion of the lognormal wide-area RTT contributed by the
-  /// far side (the uplink adds its own delay). rtt_sigma == 0 selects a
-  /// deterministic RTT of exactly rtt_median_s with no rng draw — the
-  /// seam the campaign oracle-equivalence tests rely on (lognormal with
-  /// zero sigma is undefined, and skipping the draw keeps the rng stream
-  /// comparable across engines).
-  double rtt_median_s = 0.080;
-  double rtt_sigma = 0.35;
+/// The generic server space's reply model plus the cloud's routing.
+struct CloudParams : ResponderParams {
   /// Source addresses in this prefix are unreachable (spoof pool).
   net::Ipv4Prefix unreachable_pool = *net::Ipv4Prefix::parse("240.0.0.0/8");
   /// The stub network behind our downlink. Internet routing only carries
@@ -76,8 +68,6 @@ class InternetCloud {
   [[nodiscard]] const CloudStats& stats() const { return stats_; }
 
  private:
-  void synthesize_syn_ack(const net::Packet& syn);
-
   Scheduler& scheduler_;
   CloudParams params_;
   util::Rng rng_;

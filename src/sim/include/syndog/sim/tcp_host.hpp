@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "syndog/net/packet.hpp"
+#include "syndog/net/syn_cookie.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/sim/scheduler.hpp"
@@ -197,7 +198,7 @@ class TcpHost {
   // SYN-cookie state. The secret is derived from the seed without
   // consuming the rng_ stream, so enabling cookies never shifts the ISN
   // draw order of the stateful path.
-  std::uint64_t cookie_secret_ = 0;
+  net::SynCookieCodec cookies_;
   bool cookie_active_ = false;
 
   // Telemetry (optional; see attach_observer). All lazily created.

@@ -21,12 +21,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "syndog/campaign/campaign_sim.hpp"
 #include "syndog/core/agent.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
+#include "syndog/sim/cloud.hpp"
 #include "syndog/sim/multistub.hpp"
 #include "syndog/util/rng.hpp"
 #include "syndog/util/time.hpp"
@@ -70,6 +72,95 @@ TEST(CampaignTest, ValidatesParameterRanges) {
   bad = small_params();
   bad.victim_ip = net::Ipv4Address(240, 1, 2, 3);  // inside spoof pool
   EXPECT_THROW(campaign::CampaignSim{bad}, std::invalid_argument);
+
+  // The responder bounds are sim::ResponderParams::validate(), which the
+  // oracle cloud shares: both engines reject each value, with one message.
+  const auto message_of = [](const auto& construct) {
+    try {
+      construct();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  const sim::ResponderParams defaults;
+  for (const auto& [no_answer, median, sigma] :
+       {std::tuple{1.0, defaults.rtt_median_s, defaults.rtt_sigma},
+        std::tuple{defaults.no_answer_probability, 0.0, defaults.rtt_sigma},
+        std::tuple{defaults.no_answer_probability, -1.0, defaults.rtt_sigma},
+        std::tuple{defaults.no_answer_probability, defaults.rtt_median_s,
+                   -0.5}}) {
+    SCOPED_TRACE(std::to_string(median) + " " + std::to_string(sigma));
+    bad = small_params();
+    bad.no_answer_probability = no_answer;
+    bad.rtt_median_s = median;
+    bad.rtt_sigma = sigma;
+    sim::CloudParams cloud;
+    cloud.no_answer_probability = no_answer;
+    cloud.rtt_median_s = median;
+    cloud.rtt_sigma = sigma;
+    sim::Scheduler sched;
+    const std::string campaign_error =
+        message_of([&] { campaign::CampaignSim{bad}; });
+    EXPECT_NE(campaign_error.find("responder:"), std::string::npos)
+        << campaign_error;
+    EXPECT_EQ(campaign_error, message_of([&] {
+                sim::InternetCloud(sched, cloud, [](const net::Packet&) {},
+                                   1);
+              }));
+  }
+}
+
+TEST(CampaignTest, ResponderAnswersSynAckFinLikeTheCloud) {
+  // A stub server's SYN|ACK|FIN to generic space: both engines send the
+  // one final ACK of sim::respond_generic and count no SYN.
+  auto params = small_params();
+  params.no_answer_probability = 0.0;
+  params.rtt_sigma = 0.0;
+  campaign::CampaignSim engine(params);
+  std::vector<net::Packet> campaign_replies;
+  engine.router(0).add_inbound_tap([&](SimTime, const net::Packet& pkt) {
+    campaign_replies.push_back(pkt);
+  });
+
+  sim::CloudParams cloud_params;
+  cloud_params.no_answer_probability = 0.0;
+  cloud_params.rtt_sigma = 0.0;
+  cloud_params.stub_prefix = engine.stub_prefix(0);
+  sim::Scheduler sched;
+  std::vector<net::Packet> cloud_replies;
+  sim::InternetCloud cloud(
+      sched, cloud_params,
+      [&](const net::Packet& pkt) { cloud_replies.push_back(pkt); }, 1);
+
+  net::TcpPacketSpec spec;
+  spec.src_ip = engine.stub_prefix(0).host(1);
+  spec.dst_ip = net::Ipv4Address(192, 0, 2, 77);
+  spec.src_port = 80;
+  spec.dst_port = 50000;
+  spec.seq = 1000;
+  spec.ack = 501;
+  spec.flags = net::TcpFlags{net::TcpFlags::kSyn | net::TcpFlags::kAck |
+                             net::TcpFlags::kFin};
+  const net::Packet segment = net::make_tcp_packet(spec);
+  engine.router(0).forward_from_intranet(SimTime::zero(), segment);
+  engine.run_until(SimTime::seconds(1));
+  cloud.receive(segment);
+  sched.run_all();
+
+  for (const auto* replies : {&campaign_replies, &cloud_replies}) {
+    ASSERT_EQ(replies->size(), 1u);
+    EXPECT_EQ(replies->front().tcp->flags, net::TcpFlags::ack_only());
+    EXPECT_EQ(replies->front().tcp->seq, 501u);
+    EXPECT_EQ(replies->front().tcp->ack, 1001u);
+    EXPECT_EQ(replies->front().ip.dst, spec.src_ip);
+  }
+  const campaign::ResponderStats r = engine.responder_stats();
+  const sim::CloudStats& c = cloud.stats();
+  EXPECT_EQ(r.syns_seen, c.syns_seen);
+  EXPECT_EQ(r.syn_acks_generated, c.syn_acks_generated);
+  EXPECT_EQ(r.unanswered, c.unanswered);
+  EXPECT_EQ(r.absorbed_elsewhere, c.absorbed_elsewhere);
 }
 
 TEST(CampaignTest, HostIndexIsOneBasedAndRangeChecked) {

@@ -1,7 +1,7 @@
 // Streaming capture-ingest pipeline tests: ring wraparound, backpressure
 // accounting, damaged-capture handling, replay/manual-loop equivalence,
-// and single-thread vs two-thread agreement (the threaded suite also runs
-// under tsan in CI).
+// and the sharded datapath against the single-threaded oracle (the
+// sharded suite also runs under tsan in CI).
 #include <gtest/gtest.h>
 
 #include "support/alloc_guard.hpp"
@@ -12,7 +12,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "syndog/core/sniffer.hpp"
@@ -609,68 +608,6 @@ TEST(ReplayEngineTest, PacedReplayMatchesUnpacedResults) {
   };
   EXPECT_EQ(run_with(ReplayClock::kAsFastAsPossible),
             run_with(ReplayClock::kPaced));
-}
-
-// ---------------------------------------------------------------------
-// Two-thread mode (suite name is matched by the CI tsan job)
-
-TEST(IngestThreadedTest, ThreadedCountsMatchSingleThreaded) {
-  const std::string capture =
-      make_capture(3000, SimTime::seconds(60), 21);
-  const auto run_with = [&](bool threaded) {
-    std::istringstream in(capture, std::ios::binary);
-    PipelineConfig cfg;
-    cfg.ring_capacity = 8;  // small ring: force producer/consumer contention
-    cfg.batch_size = 3;
-    cfg.threaded = threaded;
-    CapturePipeline pipeline(in, cfg);
-    CountingSink sink;
-    pipeline.add_sink("count", sink);
-    pipeline.run();
-    EXPECT_EQ(pipeline.delivered(0), sink.total_);
-    return std::tuple{sink.total_, sink.bytes_, sink.last_at_,
-                      pipeline.stats().records};
-  };
-  EXPECT_EQ(run_with(false), run_with(true));
-}
-
-TEST(IngestThreadedTest, ThreadedReplayEquivalence) {
-  const std::string capture =
-      make_capture(1500, SimTime::seconds(90), 22);
-  const auto run_with = [&](bool threaded) {
-    std::istringstream in(capture, std::ios::binary);
-    ReplayConfig cfg;
-    cfg.pipeline.threaded = threaded;
-    cfg.pipeline.ring_capacity = 8;
-    ReplayEngine engine(in, cfg);
-    AgentDemux demux(engine.scheduler(),
-                     {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}},
-                     core::SynDogParams::paper_defaults());
-    engine.add_sink(demux);
-    engine.run();
-    demux.close_final_period();
-    std::vector<std::int64_t> counts;
-    for (const auto& r : demux.agent(0).history()) {
-      counts.push_back(r.syn_count);
-      counts.push_back(r.syn_ack_count);
-    }
-    return counts;
-  };
-  const auto single = run_with(false);
-  EXPECT_FALSE(single.empty());
-  EXPECT_EQ(single, run_with(true));
-}
-
-TEST(IngestThreadedTest, ThreadedStalledSinkStillThrows) {
-  const std::string capture = make_capture(50, SimTime::seconds(2), 23);
-  std::istringstream in(capture, std::ios::binary);
-  PipelineConfig cfg;
-  cfg.threaded = true;
-  cfg.ring_capacity = 4;
-  CapturePipeline pipeline(in, cfg);
-  CountingSink stalled(0);
-  pipeline.add_sink("stalled", stalled, BackpressurePolicy::kBlock);
-  EXPECT_THROW(pipeline.run(), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "syndog/core/mitigate.hpp"
+#include "syndog/net/syn_cookie.hpp"
 #include "syndog/util/rng.hpp"
 
 namespace syndog::core {
@@ -12,46 +13,61 @@ ConnKey key_of(std::uint32_t ip, std::uint16_t port) {
   return ConnKey{net::Ipv4Address{ip}, port, 80};
 }
 
-// --- SynCookieCodec -----------------------------------------------------------
+// --- net::SynCookieCodec ------------------------------------------------------
+
+std::uint32_t make(const net::SynCookieCodec& codec, const ConnKey& key,
+                   std::uint32_t isn, std::uint32_t counter) {
+  return codec.make(key.client_ip, key.client_port, key.server_port, isn,
+                    counter);
+}
+
+bool verify(const net::SynCookieCodec& codec, const ConnKey& key,
+            std::uint32_t isn, std::uint32_t cookie, std::uint32_t counter) {
+  return codec.verify(key.client_ip, key.client_port, key.server_port, isn,
+                      cookie, counter);
+}
 
 TEST(SynCookiesTest, RoundTripVerifies) {
-  SynCookieCodec codec(0x1234567890abcdefULL);
+  net::SynCookieCodec codec(0x1234567890abcdefULL);
   const ConnKey key = key_of(0x0a010203, 44321);
   const std::uint32_t isn = 0xfeedbeef;
-  const std::uint32_t cookie = codec.make(key, isn, 100);
-  EXPECT_TRUE(codec.verify(key, isn, cookie, 100));
+  const std::uint32_t cookie = make(codec, key, isn, 100);
+  EXPECT_TRUE(verify(codec, key, isn, cookie, 100));
   // Still valid one counter tick later (the client took a while to ACK).
-  EXPECT_TRUE(codec.verify(key, isn, cookie, 101));
+  EXPECT_TRUE(verify(codec, key, isn, cookie, 101));
   // Expired two ticks later.
-  EXPECT_FALSE(codec.verify(key, isn, cookie, 102));
+  EXPECT_FALSE(verify(codec, key, isn, cookie, 102));
+  // Counters are 64 s windows of simulated time, carried mod 8.
+  EXPECT_EQ(net::SynCookieCodec::counter_at(SimTime::seconds(64 * 100)),
+            100u % 8);
 }
 
 TEST(SynCookiesTest, RejectsTamperedFields) {
-  SynCookieCodec codec(42);
+  net::SynCookieCodec codec(42);
   const ConnKey key = key_of(0x0a010203, 44321);
-  const std::uint32_t cookie = codec.make(key, 7, 100);
-  EXPECT_FALSE(codec.verify(key_of(0x0a010204, 44321), 7, cookie, 100));
-  EXPECT_FALSE(codec.verify(key_of(0x0a010203, 44322), 7, cookie, 100));
-  EXPECT_FALSE(codec.verify(key, 8, cookie, 100));
-  EXPECT_FALSE(codec.verify(key, 7, cookie ^ 0x100, 100));
+  const std::uint32_t cookie = make(codec, key, 7, 100);
+  EXPECT_FALSE(verify(codec, key_of(0x0a010204, 44321), 7, cookie, 100));
+  EXPECT_FALSE(verify(codec, key_of(0x0a010203, 44322), 7, cookie, 100));
+  EXPECT_FALSE(verify(codec, key, 8, cookie, 100));
+  EXPECT_FALSE(verify(codec, key, 7, cookie ^ 0x100, 100));
 }
 
 TEST(SynCookiesTest, DifferentSecretsDisagree) {
-  SynCookieCodec a(1);
-  SynCookieCodec b(2);
+  net::SynCookieCodec a(1);
+  net::SynCookieCodec b(2);
   const ConnKey key = key_of(0x0a010203, 1000);
-  const std::uint32_t cookie = a.make(key, 7, 50);
-  EXPECT_FALSE(b.verify(key, 7, cookie, 50));
+  const std::uint32_t cookie = make(a, key, 7, 50);
+  EXPECT_FALSE(verify(b, key, 7, cookie, 50));
 }
 
 TEST(SynCookiesTest, ForgeryResistanceSpotCheck) {
   // A blind attacker guessing cookies should practically never succeed.
-  SynCookieCodec codec(0xdeadbeefcafef00dULL);
+  net::SynCookieCodec codec(0xdeadbeefcafef00dULL);
   const ConnKey key = key_of(0x0a010203, 1000);
   util::Rng rng(5);
   int accepted = 0;
   for (int i = 0; i < 100000; ++i) {
-    if (codec.verify(key, 7, rng.next_u32(), 100)) ++accepted;
+    if (verify(codec, key, 7, rng.next_u32(), 100)) ++accepted;
   }
   // 29 bits of MAC and 2 accepted counter windows: expect ~0.04 hits.
   EXPECT_LE(accepted, 3);

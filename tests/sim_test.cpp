@@ -503,24 +503,34 @@ TEST(CloudTest, AnswersSynsAndDropsUnreachable) {
 }
 
 TEST(CloudTest, CompletesInboundHandshakes) {
-  Scheduler sched;
-  std::vector<net::Packet> replies;
-  InternetCloud cloud(sched, CloudParams{},
-                      [&](const net::Packet& pkt) { replies.push_back(pkt); },
-                      2);
-  // A stub server's SYN/ACK heading to a generic remote client.
-  net::TcpPacketSpec spec;
-  spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
-  spec.dst_ip = net::Ipv4Address(192, 0, 2, 77);
-  spec.src_port = 80;
-  spec.dst_port = 50000;
-  spec.seq = 1000;
-  spec.ack = 501;
-  cloud.receive(net::make_syn_ack(spec));
-  sched.run_all();
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(replies[0].tcp->flags, net::TcpFlags::ack_only());
-  EXPECT_EQ(replies[0].tcp->ack, 1001u);
+  // A stub server's SYN/ACK heading to a generic remote client, plain and
+  // with FIN set: either way the far side sends exactly one final ACK.
+  for (const net::TcpFlags flags :
+       {net::TcpFlags::syn_ack(),
+        net::TcpFlags{net::TcpFlags::kSyn | net::TcpFlags::kAck |
+                      net::TcpFlags::kFin}}) {
+    SCOPED_TRACE(flags.to_string());
+    Scheduler sched;
+    std::vector<net::Packet> replies;
+    InternetCloud cloud(
+        sched, CloudParams{},
+        [&](const net::Packet& pkt) { replies.push_back(pkt); }, 2);
+    net::TcpPacketSpec spec;
+    spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
+    spec.dst_ip = net::Ipv4Address(192, 0, 2, 77);
+    spec.src_port = 80;
+    spec.dst_port = 50000;
+    spec.seq = 1000;
+    spec.ack = 501;
+    spec.flags = flags;
+    cloud.receive(net::make_tcp_packet(spec));
+    sched.run_all();
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].tcp->flags, net::TcpFlags::ack_only());
+    EXPECT_EQ(replies[0].tcp->ack, 1001u);
+    EXPECT_EQ(cloud.stats().syns_seen, 0u);
+    EXPECT_EQ(cloud.stats().syn_acks_generated, 0u);
+  }
 }
 
 // --- StubNetworkSim end to end -----------------------------------------------------
