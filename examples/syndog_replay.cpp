@@ -12,11 +12,13 @@
 //   $ syndog_replay capture.pcap --pace 60       # 60x capture speed
 //   $ syndog_replay capture.pcap --threads 4     # sharded parallel ingest
 //   $ syndog_replay --gen demo.pcap              # write a demo capture
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "syndog/attack/flood.hpp"
@@ -32,6 +34,14 @@
 using namespace syndog;
 
 namespace {
+
+/// Parses all of `text` as one number; trailing garbage is an error.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && stop == end;
+}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -297,11 +307,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--pace") {
-      pace = std::atof(value());
-      if (!(pace > 0.0)) return usage(argv[0]);
+      if (!parse_whole(value(), pace) || !(pace > 0.0)) return usage(argv[0]);
     } else if (arg == "--threads") {
-      threads = std::atol(value());
-      if (threads < 1) return usage(argv[0]);
+      if (!parse_whole(value(), threads) || threads < 1) return usage(argv[0]);
     } else if (arg == "--dump-periods") {
       dump_path = value();
       if (dump_path.empty()) return usage(argv[0]);

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "syndog/util/worker_pool.hpp"
+
 namespace syndog::campaign {
 
 namespace {
@@ -498,13 +500,14 @@ void CampaignSim::exchange_and_advance(util::SimTime barrier) {
   now_ = barrier;
 }
 
-void CampaignSim::run_until(util::SimTime end) {
+void CampaignSim::run_until(util::SimTime end, int workers) {
+  util::WorkerPool pool(workers);
   while (now_ < end) {
     const util::SimTime barrier = std::min(now_ + window_, end);
-    const int cells = cell_count();
-    for (int c = 0; c < cells; ++c) {
-      run_cell_until(c, barrier);
-    }
+    pool.for_each_index(cell_count(),
+                        [&](int cell) { run_cell_until(cell, barrier); });
+    // Every cell is quiescent and the pool is parked: the exchange is
+    // the only code touching any scheduler here.
     exchange_and_advance(barrier);
   }
 }

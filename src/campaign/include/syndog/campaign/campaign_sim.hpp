@@ -17,8 +17,8 @@
 // worker count), cells share no mutable state, and the barrier merge is
 // canonically ordered — so every observable output (period tables,
 // alarm timelines, stats, state_digest()) is byte-identical for
-// workers=1 vs workers=8. The threaded driver lives in runner.cpp; this
-// class plus `run_until(end)` is the single-threaded reference.
+// workers=1 vs workers=8. One worker is the single-threaded reference;
+// more only spread each window's cells over a util::WorkerPool.
 //
 // Wide-area traffic model: there is no shared InternetCloud. Packets a
 // stub sends to generic Internet space are answered by a *per-stub
@@ -158,14 +158,13 @@ class CampaignSim {
 
   // ---- Running --------------------------------------------------------
 
-  /// Single-threaded reference run: windows + barriers inline, cells in
-  /// ascending order.
-  void run_until(util::SimTime end);
-  /// Threaded run (runner.cpp): `workers` threads pull cells off a
-  /// shared index each window. workers <= 1 is exactly run_until(end).
-  void run_until(util::SimTime end, int workers);
+  /// Advances to `end` window by window: every cell runs to the barrier
+  /// on a util::WorkerPool of `workers` threads, then mailboxes are
+  /// exchanged. workers <= 1 (cells ascending on the caller) is the
+  /// reference. A cell's exception reaches the caller at any count.
+  void run_until(util::SimTime end, int workers = 1);
 
-  // ---- Runner protocol (see docs/CAMPAIGN.md) -------------------------
+  // ---- Window protocol (see docs/CAMPAIGN.md) -------------------------
   // A window advances every cell to the barrier, then exchanges
   // mailboxes. run_cell_until may be called concurrently for *distinct*
   // cells; exchange_and_advance is single-threaded-only.

@@ -12,10 +12,12 @@
 // bytes per (stub, direction) and count them with classify::sweep_flags
 // (SIMD where available) instead of classifying frame by frame.
 //
-// Determinism contract: after the workers join, per-shard period tables
-// merge in stable shard order and replay through one core::SynDog per
-// stub, reproducing core::SynDogAgent's healthy-path rollover (including
-// the first-mile SYN/ACK-collapse absorption) exactly. Because period
+// run() hosts the producer (worker 0, the caller) and one consumer per
+// shard on a util::WorkerPool. Determinism contract: after the pool run
+// returns, per-shard period tables merge in stable shard order and
+// replay through one core::SynDog per stub, reproducing
+// core::SynDogAgent's healthy-path rollover (including the first-mile
+// SYN/ACK-collapse absorption) exactly. Because period
 // counts are integers and integer addition is associative, history(i) is
 // byte-identical — every PeriodReport field, doubles included — to what
 // the single-threaded ReplayEngine + AgentDemux oracle produces for the

@@ -6,7 +6,6 @@
 #include <array>
 #include <atomic>
 #include <cstring>
-#include <exception>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -18,6 +17,7 @@
 #include "syndog/ingest/flow_hash.hpp"
 #include "syndog/ingest/frame_ring.hpp"
 #include "syndog/net/digest.hpp"
+#include "syndog/util/worker_pool.hpp"
 
 namespace syndog::ingest {
 
@@ -63,7 +63,7 @@ struct StubShardState {
 
 /// One ring plus the consumer-owned counting state behind it. The
 /// producer touches only `ring`; everything else belongs to the shard's
-/// worker thread until run() joins it.
+/// pool worker until run() returns.
 struct ShardedReplay::Shard {
   Shard(std::size_t ring_capacity, std::size_t stub_count,
         std::size_t flush_threshold)
@@ -77,7 +77,6 @@ struct ShardedReplay::Shard {
 
   SlotRing<net::FlowDigest> ring;
   std::atomic<bool> done{false};  ///< producer: no more digests coming
-  std::exception_ptr failure;     ///< consumer: set before early exit
 
   // -- consumer-owned state ----------------------------------------------
   std::vector<StubShardState> stubs;
@@ -206,46 +205,34 @@ void ShardedReplay::run() {
   }
   ran_ = true;
 
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size());  // syndog-lint: allow(hotpath.allocation) -- run()-entry sizing, before any digest flows
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    workers.emplace_back([this, sh = shard.get()] {  // syndog-lint: allow(hotpath.allocation) -- one spawn per shard at run() entry
-      try {
-        consume_shard(*sh);
-      } catch (...) {
-        sh->failure = std::current_exception();
-        // Keep draining so the producer's blocking publish never
-        // deadlocks on a dead consumer; counts no longer matter.
-        for (;;) {
-          const std::span<const net::FlowDigest> r = sh->ring.readable();
-          if (r.empty()) {
-            if (sh->done.load(std::memory_order_acquire) &&
-                sh->ring.empty()) {
-              break;
-            }
-            std::this_thread::yield();
-            continue;
-          }
-          sh->ring.release(r.size());
+  // Worker 0 (the caller) produces; worker i consumes shard i - 1.
+  util::WorkerPool pool(static_cast<int>(shards_.size()) + 1);
+  pool.run([this](int worker) {
+    if (worker == 0) {
+      // Every shard hears "no more digests" even when produce() throws,
+      // so no consumer spins forever.
+      struct MarkDone {
+        ShardedReplay& replay;
+        ~MarkDone() {
+          for (const auto& shard : replay.shards_) shard->done.store(true);
         }
+      } mark_done{*this};
+      produce();
+      return;
+    }
+    Shard& sh = *shards_[static_cast<std::size_t>(worker - 1)];
+    try {
+      consume_shard(sh);
+    } catch (...) {
+      // Keep draining so the producer's blocking publish never
+      // deadlocks on a dead consumer; counts no longer matter.
+      while (!(sh.done.load(std::memory_order_acquire) && sh.ring.empty())) {
+        sh.ring.release(sh.ring.readable().size());
+        std::this_thread::yield();
       }
-    });
-  }
-
-  std::exception_ptr produce_failure;
-  try {
-    produce();
-  } catch (...) {
-    produce_failure = std::current_exception();
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->done.store(true, std::memory_order_release);
-  }
-  for (std::thread& w : workers) w.join();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->failure) std::rethrow_exception(shard->failure);
-  }
-  if (produce_failure) std::rethrow_exception(produce_failure);
+      throw;
+    }
+  });
 
   stats_.truncated = end_ == pcap::ReadEnd::kTruncated;
   merge();

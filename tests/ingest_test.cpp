@@ -879,6 +879,63 @@ TEST(IngestShardedTest, MatchesOraclePcapng) {
       core::SynDogParams::paper_defaults());
 }
 
+TEST(IngestShardedTest, RethrowsMidCaptureReaderError) {
+  // Valid pcapng records, then a second Section Header Block whose
+  // byte-order magic is garbage: the reader throws mid-capture, on the
+  // producer. Every consumer must still see the end of its ring (no
+  // hang, even with rings small enough to fill), and run() must surface
+  // the reader's error exactly as the reference engine does.
+  std::stringstream buf;
+  pcap::PcapngWriter writer(buf);
+  util::Rng rng(41);
+  for (int i = 0; i < 2000; ++i) {
+    const auto host = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+    writer.write(
+        SimTime::nanoseconds(1 + i * 10'000'000LL),
+        net::encode_frame(sample_packet(host, rng.uniform() < 0.5)));
+  }
+  const std::array<std::uint8_t, 28> bad_shb = {
+      0x0a, 0x0d, 0x0d, 0x0a, 28,   0,    0,    0,     // type, length
+      0xde, 0xad, 0xbe, 0xef, 1,    0,    0,    0,     // magic, version
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // section length
+      28,   0,    0,    0};                            // trailing length
+  const std::string capture =
+      buf.str() + std::string(bad_shb.begin(), bad_shb.end());
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+
+  std::string want;
+  {
+    std::istringstream in(capture, std::ios::binary);
+    ReplayEngine engine(in, {});
+    AgentDemux demux(engine.scheduler(), stubs,
+                     core::SynDogParams::paper_defaults());
+    engine.add_sink(demux);
+    try {
+      engine.run();
+      ADD_FAILURE() << "reference engine accepted the bad section header";
+    } catch (const std::runtime_error& e) {
+      want = e.what();
+    }
+  }
+  ASSERT_FALSE(want.empty());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::istringstream in(capture, std::ios::binary);
+    ShardedConfig cfg;
+    cfg.threads = threads;
+    cfg.ring_capacity = 16;
+    ShardedReplay sharded(in, stubs, cfg);
+    try {
+      sharded.run();
+      ADD_FAILURE() << "sharded replay accepted the bad section header";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+}
+
 TEST(IngestShardedTest, MatchesOracleThroughSynAckCollapse) {
   // Several healthy periods grow K past collapse_min_k, then SYN/ACKs
   // vanish for longer than outage_patience, then traffic recovers: the

@@ -28,19 +28,16 @@ from .model import ERROR, Finding, Rule, register
 # producer/consumer fan-out and the SPSC ring primitive its handoff rides
 # on. The rest of the module (CapturePipeline, ReplayEngine,
 # CaptureSource, framer, AgentDemux) is sequential by contract and
-# patrolled like any other code. Likewise src/campaign:
-# only runner.cpp/runner.hpp (the worker pool driving run_cell_until /
-# exchange_and_advance through generation barriers) spawn threads;
-# CampaignSim itself is sequential per cell and patrolled. src/telemetry
-# (sink drain thread) and src/util (logging level atomics, worker
-# plumbing) stay module-wide seams — their concurrency is not confined
-# to one file.
+# patrolled like any other code. src/campaign has no seam at all: the
+# campaign runs its cells on util::WorkerPool, so a thread or shared
+# mutable state anywhere in the module is flagged. src/telemetry (sink
+# drain thread) and src/util (util::WorkerPool in worker_pool.{hpp,cpp},
+# the one fork-join thread owner, plus logging level atomics) stay
+# module-wide seams — their concurrency is not confined to one file.
 _SEAM_DIRS = (
     "src/ingest/sharded",
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
-    "src/campaign/runner",
-    "src/campaign/include/syndog/campaign/runner",
     "src/telemetry/",
     "src/util/",
 )
@@ -77,8 +74,8 @@ def _check_raw_thread(sf: SourceFile, ctx) -> Iterable[Finding]:
                 lineno,
                 "",
                 "thread spawning lives only in the sanctioned seam files "
-                "(src/ingest sharded/frame_ring, src/campaign runner, "
-                "src/telemetry sink drain, src/util); route "
+                "(src/ingest sharded/frame_ring, src/telemetry sink "
+                "drain, src/util worker_pool); route "
                 "parallel work through those seams so the deterministic "
                 "single-thread reference stays authoritative",
             )
@@ -96,16 +93,15 @@ register(
             "ingest must match the single-thread pump exactly; sharded DES "
             "must merge to byte-identical sidecars) is only checkable if "
             "thread creation is confined to seams built for it: "
-            "ShardedReplay's fan-out, the campaign runner, the telemetry "
-            "sink drain, and util's worker plumbing. A thread spawned elsewhere "
-            "bypasses the barriers, mailboxes, and deterministic-merge "
-            "machinery those seams provide."
+            "util::WorkerPool (which runs campaign cells and ingest shards), "
+            "the telemetry sink drain, and ShardedReplay's rings. A thread "
+            "spawned elsewhere bypasses the barriers, mailboxes, and "
+            "deterministic-merge machinery those seams provide."
         ),
         fix_hint=(
-            "Move the parallel section behind the sharded replay, the "
-            "campaign runner, or a util worker seam; if a new "
-            "seam is genuinely "
-            "needed, add its file prefix to the sanctioned list in "
+            "Run the parallel section on util::WorkerPool (run or "
+            "for_each_index); if a new seam is genuinely needed, add its "
+            "file prefix to the sanctioned list in "
             "rules_concurrency.py in the same PR that adds its "
             "determinism-equivalence test."
         ),
@@ -321,9 +317,8 @@ def _scan_scope(
                         "",
                         f"{where} mutable object '{name_tok.text}' is shared "
                         "state outside the sanctioned seam files (src/ingest "
-                        "sharded/frame_ring, src/campaign/runner, "
-                        "src/telemetry, src/util); pass state explicitly or "
-                        "move the seam",
+                        "sharded/frame_ring, src/telemetry, src/util "
+                        "worker_pool); pass state explicitly or move the seam",
                     )
                 )
         elif not mutable_decl and _is_function_decl(tokens, i, decl_end):
