@@ -1,12 +1,12 @@
-// Capture-ingest pipeline throughput.
+// Capture-ingest throughput.
 //
 // The replay path is the deployable face of the reproduction: a leaf
-// router's capture must stream through ring -> decode -> classify ->
+// router's capture must stream through read -> decode -> classify ->
 // CUSUM faster than the wire fills it. This bench synthesizes a
 // wire-realistic capture in memory (seeded, so the byte stream is
 // reproducible), then streams it through ingest::ReplayEngine with a
 // full ingest::AgentDemux first-mile deployment attached — every frame
-// is pulled incrementally, decoded into a recycled ring slot, batched,
+// is pulled incrementally, decoded into one recycled frame,
 // routed through a sim::LeafRouter's taps, and counted into the
 // SYN-dog CUSUM — and reports packets/s and bytes/s over that whole
 // path.
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
 
   // Sharded parallel ingest over the same capture bytes.  The 4-thread
   // run attaches the sidecar registry, so the exported metrics block
-  // carries ingest.shard.<i>.{delivered,dropped} per ring.
+  // carries ingest.shard.<i>.delivered per ring.
   const std::vector<core::PeriodReport> reference = agent.history();
   const std::size_t kThreadCounts[] = {1, 2, 4};
   std::vector<double> pps_vs_threads;

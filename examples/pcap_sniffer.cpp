@@ -11,7 +11,7 @@
 //   $ pcap_sniffer capture.pcap   # analyze an existing Ethernet capture
 //
 // Analysis streams through ingest::ReplayEngine, so captures of any size
-// run in O(ring) memory and pcapng works transparently; the per-period
+// run in O(record) memory and pcapng works transparently; the per-period
 // accounting below is byte-identical to the original whole-file loop.
 #include <cstdio>
 #include <fstream>
@@ -74,7 +74,7 @@ std::string generate_demo_capture() {
 
 /// Per-period SYN / SYN-ACK accounting over the replay stream: the same
 /// sniffers, detector, and period boundaries as the original whole-file
-/// loop, but fed frame-by-frame from the bounded ingest ring.
+/// loop, but fed frame-by-frame from the streaming replay.
 class AnalysisSink final : public ingest::ReplaySink {
  public:
   void on_frame(util::SimTime at, const ingest::Frame& frame) override {
@@ -134,7 +134,7 @@ int analyze(const std::string& path) {
   AnalysisSink sink;
   engine.add_sink(sink);
   std::printf("%s: %s stream\n", path.c_str(),
-              engine.pipeline().format() == ingest::CaptureFormat::kPcapng
+              engine.format() == ingest::CaptureFormat::kPcapng
                   ? "pcapng"
                   : "pcap");
 

@@ -14,7 +14,6 @@
 // Every value must be one whole decimal number; an unknown flag, a
 // missing or malformed value, or a count below its minimum exits 2 with
 // the usage line instead of running a default.
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include "syndog/campaign/campaign_sim.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/util/rng.hpp"
+#include "syndog/util/strings.hpp"
 #include "syndog/util/time.hpp"
 
 using namespace syndog;
@@ -70,9 +70,7 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) return reject(std::string(arg) + " needs a value");
     const std::string_view text = argv[++i];
     std::int64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
+    if (!util::parse_whole(text, v)) {
       return reject(std::string(arg) + ": '" + std::string(text) +
                     "' is not a whole number");
     }

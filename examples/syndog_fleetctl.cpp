@@ -14,9 +14,11 @@
 //   $ syndog_fleetctl kbar fleet.tsf --bucket-s 600 --as 64497
 //   $ syndog_fleetctl drift fleet.tsf y       # any metric's drift
 //   $ syndog_fleetctl health fleet.tsf        # per-AS health CSV
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -27,6 +29,7 @@
 #include "syndog/telemetry/sink.hpp"
 #include "syndog/telemetry/tsf.hpp"
 #include "syndog/util/rng.hpp"
+#include "syndog/util/strings.hpp"
 #include "syndog/util/time.hpp"
 
 using namespace syndog;
@@ -130,14 +133,21 @@ struct DriftArgs {
 };
 
 bool parse_drift_args(int argc, char** argv, int first, DriftArgs& out) {
+  // Largest bucket whose nanosecond count fits util::SimTime.
+  constexpr std::int64_t kMaxBucketS =
+      std::numeric_limits<std::int64_t>::max() / 1'000'000'000;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--bucket-s" && i + 1 < argc) {
-      const long long v = std::atoll(argv[++i]);
-      if (v <= 0) return false;
+      std::int64_t v = 0;
+      if (!util::parse_whole(argv[++i], v) || v <= 0 || v > kMaxBucketS) {
+        return false;
+      }
       out.bucket = util::SimTime::seconds(v);
     } else if (arg == "--as" && i + 1 < argc) {
-      out.as_filter = static_cast<std::uint32_t>(std::atoll(argv[++i]));
+      std::uint32_t as = 0;
+      if (!util::parse_whole(argv[++i], as)) return false;
+      out.as_filter = as;
     } else {
       return false;
     }

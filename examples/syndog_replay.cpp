@@ -1,7 +1,7 @@
 // Streaming SYN-dog replay, tcpreplay-style.
 //
 // Streams a capture — classic pcap or pcapng, any size — through the
-// ingest pipeline in O(ring) memory and demultiplexes it onto per-stub
+// ingest replay in O(record) memory and demultiplexes it onto per-stub
 // SYN-dog agents: each --stubs prefix gets its own leaf router + agent
 // pair driven by the capture's timestamps on a discrete-event clock, so
 // period rollovers, CUSUM updates, and alarms land exactly where the
@@ -12,7 +12,6 @@
 //   $ syndog_replay capture.pcap --pace 60       # 60x capture speed
 //   $ syndog_replay capture.pcap --threads 4     # sharded parallel ingest
 //   $ syndog_replay --gen demo.pcap              # write a demo capture
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,18 +29,11 @@
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/trace/render.hpp"
 #include "syndog/trace/site.hpp"
+#include "syndog/util/strings.hpp"
 
 using namespace syndog;
 
 namespace {
-
-/// Parses all of `text` as one number; trailing garbage is an error.
-template <typename T>
-bool parse_whole(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && stop == end;
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -208,7 +200,7 @@ int replay(const std::string& path, double pace,
   engine.add_sink(demux);
 
   std::printf("%s: %s stream, %zu stub agent(s)\n", path.c_str(),
-              engine.pipeline().format() == ingest::CaptureFormat::kPcapng
+              engine.format() == ingest::CaptureFormat::kPcapng
                   ? "pcapng"
                   : "pcap",
               stubs.size());
@@ -293,9 +285,9 @@ int main(int argc, char** argv) {
   std::string gen_path;
   std::string dump_path;
   std::string stubs_arg = "10.1.0.0/16";
-  std::string default_stub_arg = "0";
   double pace = 0.0;
   long threads = 1;
+  int default_stub = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -307,16 +299,25 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--pace") {
-      if (!parse_whole(value(), pace) || !(pace > 0.0)) return usage(argv[0]);
+      if (!util::parse_whole(value(), pace) || !(pace > 0.0)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--threads") {
-      if (!parse_whole(value(), threads) || threads < 1) return usage(argv[0]);
+      if (!util::parse_whole(value(), threads) || threads < 1) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--dump-periods") {
       dump_path = value();
       if (dump_path.empty()) return usage(argv[0]);
     } else if (arg == "--stubs") {
       stubs_arg = value();
     } else if (arg == "--default-stub") {
-      default_stub_arg = value();
+      const std::string_view text = value();
+      if (text == "none") {
+        default_stub = -1;
+      } else if (!util::parse_whole(text, default_stub)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--gen") {
       gen_path = value();
     } else if (!arg.empty() && arg[0] == '-') {
@@ -341,8 +342,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
     const std::vector<ingest::StubSpec> stubs = parse_stubs(stubs_arg);
-    const int default_stub =
-        default_stub_arg == "none" ? -1 : std::atoi(default_stub_arg.c_str());
     if (threads > 1) {
       return replay_sharded(path, static_cast<std::size_t>(threads), stubs,
                             default_stub, dump_path);

@@ -12,20 +12,29 @@ constexpr std::uint32_t kSectionHeaderBlock = 0x0a0d0d0a;
 
 }  // namespace
 
-CaptureSource::CaptureSource(std::istream& in) : format_(CaptureFormat::kPcap) {
-  char magic_bytes[4];
-  in.read(magic_bytes, 4);
-  if (in.gcount() != 4) {
+CaptureFormat sniff_format(net::ByteSpan capture) {
+  if (capture.size() < 4) {
     throw std::runtime_error("capture: file too short to sniff format");
   }
-  for (int i = 3; i >= 0; --i) in.putback(magic_bytes[i]);
-
   std::uint32_t le_magic = 0;
   for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) | static_cast<std::uint8_t>(magic_bytes[i]);
+    le_magic = (le_magic << 8) | capture[static_cast<std::size_t>(i)];
   }
-  if (le_magic == kSectionHeaderBlock) {
-    format_ = CaptureFormat::kPcapng;
+  return le_magic == kSectionHeaderBlock ? CaptureFormat::kPcapng
+                                         : CaptureFormat::kPcap;
+}
+
+CaptureFormat sniff_format(std::istream& in) {
+  char magic_bytes[4];
+  in.read(magic_bytes, 4);
+  const auto got = static_cast<std::size_t>(in.gcount());
+  for (std::size_t i = got; i > 0; --i) in.putback(magic_bytes[i - 1]);
+  return sniff_format(net::ByteSpan{
+      reinterpret_cast<const std::uint8_t*>(magic_bytes), got});
+}
+
+CaptureSource::CaptureSource(std::istream& in) : format_(sniff_format(in)) {
+  if (format_ == CaptureFormat::kPcapng) {
     pcapng_.emplace(in);
   } else {
     // Classic pcap; the reader throws on an unrecognized magic.

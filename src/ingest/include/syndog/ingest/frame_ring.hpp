@@ -5,16 +5,14 @@
 // recycled forever, so streaming an arbitrarily large capture runs in
 // O(capacity) memory with no steady-state allocation (the same
 // slot-arena discipline as sim::PacketPool). Slots are fixed-footprint
-// value types, so reusing one is a plain overwrite. Two instantiations
-// exist today: FrameRing (decoded net::Packet frames, the reference
-// pipeline) and the sharded datapath's net::FlowDigest rings.
+// value types, so reusing one is a plain overwrite. The one production
+// instantiation is the sharded datapath's ring of net::FlowDigest.
 //
 // Concurrency contract: exactly one producer thread calls try_claim() /
 // publish(); exactly one consumer thread calls readable() / release().
-// In CapturePipeline both roles run on the same thread and the atomics
-// collapse to plain loads/stores; ShardedReplay splits them across
-// threads. Capacity is
-// rounded up to a power of two so index masking replaces modulo.
+// In ShardedReplay the producer is the capture walk and the consumer is
+// the shard's pool worker. Capacity is rounded up to a power of two so
+// index masking replaces modulo.
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
@@ -27,18 +25,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "syndog/net/packet.hpp"
-#include "syndog/util/time.hpp"
-
 namespace syndog::ingest {
-
-/// One decoded capture record occupying a ring slot.
-struct Frame {
-  util::SimTime at;                  ///< capture timestamp
-  net::Packet packet;                ///< decoded link/network/transport
-  std::uint32_t wire_bytes = 0;      ///< original length on the wire
-  std::uint32_t captured_bytes = 0;  ///< bytes present in the capture
-};
 
 template <class Slot>
 class SlotRing {
@@ -122,8 +109,5 @@ class SlotRing {
   std::uint64_t cached_tail_ = 0;                   ///< producer's tail view
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next slot to read
 };
-
-/// The reference pipeline's ring of decoded frames.
-using FrameRing = SlotRing<Frame>;
 
 }  // namespace syndog::ingest

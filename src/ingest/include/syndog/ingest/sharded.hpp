@@ -1,6 +1,6 @@
 // Sharded multi-core capture ingest (RSS-style rings + batched classify).
 //
-// The reference path (CapturePipeline -> ReplayEngine -> AgentDemux) is
+// The reference path (CaptureSource -> ReplayEngine -> AgentDemux) is
 // byte-deterministic but single-threaded: one thread decodes, routes, and
 // counts every frame. ShardedReplay splits that work the way a NIC's RSS
 // indirection does: the producer thread frames the capture, extracts a
@@ -40,7 +40,6 @@
 #include "syndog/core/agent.hpp"
 #include "syndog/ingest/agent_demux.hpp"
 #include "syndog/ingest/capture_source.hpp"
-#include "syndog/ingest/pipeline.hpp"
 #include "syndog/ingest/replay.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/pcap/pcap.hpp"
@@ -66,13 +65,10 @@ struct ShardedConfig {
   void validate(std::size_t stub_count) const;
 };
 
-/// Per-shard delivery counters, surfaced as ingest.shard.<i>.{delivered,
-/// dropped}. `dropped` is always 0 today — the producer blocks on a full
-/// ring rather than dropping — but is reported so dashboards keyed on the
-/// pair keep working if a lossy mode ever appears.
+/// Per-shard delivery counters, surfaced as ingest.shard.<i>.delivered.
+/// The producer blocks on a full ring, so nothing is ever dropped.
 struct ShardCounters {
   std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
 };
 
 class ShardedReplay {
@@ -98,8 +94,8 @@ class ShardedReplay {
   /// Counters land in `registry` when run() finishes:
   /// ingest.sharded.{records,frames,bytes,decode_failures,
   /// truncated_captures,local_frames,unroutable_frames} and
-  /// ingest.shard.<i>.{delivered,dropped}. Distinct from the reference
-  /// pipeline's ingest.* names so both datapaths can share a registry.
+  /// ingest.shard.<i>.delivered. Distinct from the reference engine's
+  /// ingest.* names so both datapaths can share a registry.
   void attach_observer(obs::Registry& registry) { registry_ = &registry; }
 
   /// Streams the whole capture through the shards and merges. Call once.
@@ -120,7 +116,7 @@ class ShardedReplay {
     return unroutable_;
   }
   [[nodiscard]] util::SimTime last_frame_at() const {
-    return util::SimTime::nanoseconds(last_at_ns_);
+    return rebase_.last();
   }
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -131,8 +127,9 @@ class ShardedReplay {
 
   void init(ShardedConfig cfg);
   void produce();
-  void produce_pcap_fast();
-  void produce_pcap_span();
+  void produce_pcap_stream();
+  std::size_t walk_pcap(const std::uint8_t* base, std::size_t size,
+                        std::size_t pos, bool at_end);
   void produce_pcapng();
   /// Decode + rebase one record and publish its digest to its shard.
   void feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
@@ -145,9 +142,8 @@ class ShardedReplay {
   net::ByteSpan span_{};                    ///< empty in stream mode
   std::optional<std::istringstream> owned_in_;  ///< span-mode pcapng bridge
   CaptureFormat format_;
-  std::optional<pcap::Reader> pcap_;        ///< classic pcap fast path
-  pcap::FileHeader span_header_;            ///< span-mode pcap header
-  std::optional<CaptureSource> pcapng_;     ///< pcapng fallback
+  pcap::FileHeader pcap_header_;            ///< classic pcap only
+  std::optional<pcap::PcapngReader> pcapng_;  ///< pcapng only
   std::vector<StubSpec> stubs_;
   ShardedConfig cfg_;
   std::int64_t t0_ns_ = 0;
@@ -155,9 +151,7 @@ class ShardedReplay {
   std::vector<std::vector<core::PeriodReport>> histories_;
   PipelineStats stats_;
   pcap::ReadEnd end_ = pcap::ReadEnd::kStreaming;
-  bool first_seen_ = false;
-  std::int64_t epoch_ns_ = 0;
-  std::int64_t last_at_ns_ = 0;
+  EpochRebase rebase_{TimeOrigin::kAuto};
   std::uint64_t local_ = 0;
   std::uint64_t unroutable_ = 0;
   obs::Registry* registry_ = nullptr;

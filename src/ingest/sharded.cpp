@@ -23,16 +23,15 @@ namespace syndog::ingest {
 
 namespace {
 
-/// kAuto threshold, mirrored from replay.cpp: a first timestamp beyond
-/// 24 h is an absolute-epoch stamp from a real capture.
-constexpr std::int64_t kAbsoluteEpochFloorNs = 86'400'000'000'000;
-
-/// pcapng Section Header Block type (same sniff as CaptureSource).
-constexpr std::uint32_t kSectionHeaderBlock = 0x0a0d0d0a;
-
 constexpr std::uint32_t bswap32(std::uint32_t v) {
   return (v >> 24) | ((v >> 8) & 0x0000ff00U) | ((v << 8) & 0x00ff0000U) |
          (v << 24);
+}
+
+/// Largest incl_len the record walk accepts as a plausible snap (the
+/// same guard as pcap::Reader); anything longer is garbage framing.
+constexpr std::uint64_t max_incl_len(const pcap::FileHeader& header) {
+  return std::uint64_t{header.snaplen} + 65536;
 }
 
 /// A stub prefix reduced to the two words contains() compares, so the
@@ -114,45 +113,27 @@ void ShardedConfig::validate(std::size_t stub_count) const {
 
 ShardedReplay::ShardedReplay(std::istream& in, std::vector<StubSpec> stubs,
                              ShardedConfig cfg)
-    : in_(&in), format_(CaptureFormat::kPcap), stubs_(std::move(stubs)) {
+    : in_(&in), format_(sniff_format(in)), stubs_(std::move(stubs)) {
   cfg.validate(stubs_.size());
-
-  // Same format sniff as CaptureSource: pcapng's Section Header Block
-  // type is a byte-order palindrome.
-  char magic_bytes[4];
-  in_->read(magic_bytes, 4);
-  if (in_->gcount() != 4) {
-    throw std::runtime_error("capture: file too short to sniff format");
-  }
-  for (int i = 3; i >= 0; --i) in_->putback(magic_bytes[i]);
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) | static_cast<std::uint8_t>(magic_bytes[i]);
-  }
-  if (le_magic == kSectionHeaderBlock) {
-    format_ = CaptureFormat::kPcapng;
-    pcapng_.emplace(*in_);
+  if (format_ == CaptureFormat::kPcapng) {
+    pcapng_.emplace(in);
   } else {
-    pcap_.emplace(*in_);  // throws on an unrecognized magic
+    // The Reader consumes and validates the 24-byte file header (throwing
+    // on an unrecognized magic); the records are walked in blocks.
+    pcap_header_ = pcap::Reader(in).header();
   }
   init(cfg);
 }
 
 ShardedReplay::ShardedReplay(net::ByteSpan capture,
                              std::vector<StubSpec> stubs, ShardedConfig cfg)
-    : span_(capture), format_(CaptureFormat::kPcap), stubs_(std::move(stubs)) {
+    : span_(capture), format_(sniff_format(capture)),
+      stubs_(std::move(stubs)) {
   cfg.validate(stubs_.size());
-
-  if (span_.size() < 4) {
-    throw std::runtime_error("capture: file too short to sniff format");
-  }
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) le_magic = (le_magic << 8) | span_[static_cast<std::size_t>(i)];
-  if (le_magic == kSectionHeaderBlock) {
+  if (format_ == CaptureFormat::kPcapng) {
     // pcapng keeps the record-at-a-time reader; bridge the span through
     // an owned stream (one copy — the zero-copy fast path is classic
     // pcap, the format line-rate captures actually use).
-    format_ = CaptureFormat::kPcapng;
     owned_in_.emplace(
         std::string(reinterpret_cast<const char*>(span_.data()),
                     span_.size()),
@@ -162,19 +143,18 @@ ShardedReplay::ShardedReplay(net::ByteSpan capture,
     // Parse + validate the 24-byte file header with the real Reader over
     // a bounded bridge stream, so a malformed header throws exactly the
     // same error as the stream constructor.
-    owned_in_.emplace(
+    std::istringstream header_in(
         std::string(reinterpret_cast<const char*>(span_.data()),
                     std::min<std::size_t>(span_.size(), 24)),
         std::ios::binary);
-    const pcap::Reader header_probe(*owned_in_);
-    span_header_ = header_probe.header();
-    owned_in_.reset();
+    pcap_header_ = pcap::Reader(header_in).header();
   }
   init(cfg);
 }
 
 void ShardedReplay::init(ShardedConfig cfg) {
   cfg_ = cfg;
+  rebase_ = EpochRebase(cfg_.origin);
   t0_ns_ = cfg_.params.observation_period.ns();
   shards_.reserve(cfg_.threads);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
   for (std::size_t i = 0; i < cfg_.threads; ++i) {
@@ -196,7 +176,7 @@ const std::vector<core::PeriodReport>& ShardedReplay::history(
 }
 
 ShardCounters ShardedReplay::shard(std::size_t i) const {
-  return ShardCounters{shards_.at(i)->delivered, 0};
+  return ShardCounters{shards_.at(i)->delivered};
 }
 
 void ShardedReplay::run() {
@@ -243,24 +223,27 @@ void ShardedReplay::produce() {
   if (format_ == CaptureFormat::kPcapng) {
     produce_pcapng();
   } else if (in_ == nullptr) {
-    produce_pcap_span();
+    walk_pcap(span_.data(), span_.size(), 24, true);  // past the header
   } else {
-    produce_pcap_fast();
+    produce_pcap_stream();
   }
 }
 
-/// Classic pcap over an in-memory span: the record walk IS the buffer —
-/// no block reads, no memmove, no copy per byte. End-state rules match
-/// produce_pcap_fast (and so pcap::Reader::next_into): nothing left at a
-/// record boundary is kEof; a partial header, an implausible incl_len,
-/// or short data is kTruncated.
-void ShardedReplay::produce_pcap_span() {
-  const bool swap = span_header_.swapped;
-  const bool nanos = span_header_.nanosecond;
-  const std::uint64_t max_incl = std::uint64_t{span_header_.snaplen} + 65536;
-  const std::uint8_t* base = span_.data();
-  const std::size_t size = span_.size();
-  std::size_t pos = 24;  // the probe Reader validated the file header
+/// The classic-pcap record walk over bytes [pos, size) of `base`: feeds
+/// every whole record and returns the offset of the first byte it did not
+/// consume. The end-state rules match pcap::Reader::next_into: with
+/// `at_end` (no bytes follow `size`), nothing left at a record boundary is
+/// kEof and a partial header or short data is kTruncated; without it, a
+/// partial record is left for the caller to complete. An implausible
+/// incl_len is kTruncated either way. The span constructor walks the
+/// whole capture in one call — the record walk IS the buffer, no block
+/// reads, no memmove, no copy per byte.
+std::size_t ShardedReplay::walk_pcap(const std::uint8_t* base,
+                                     std::size_t size, std::size_t pos,
+                                     bool at_end) {
+  const bool swap = pcap_header_.swapped;
+  const bool nanos = pcap_header_.nanosecond;
+  const std::uint64_t max_incl = max_incl_len(pcap_header_);
 
   const auto load32 = [&](std::size_t off) -> std::uint32_t {
     std::uint32_t v = 0;
@@ -283,16 +266,23 @@ void ShardedReplay::produce_pcap_span() {
       prefetched += 64;
     }
     if (size - pos < 16) {
-      end_ = size == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
-      return;
+      if (at_end) {
+        end_ = size == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
+      }
+      return pos;
     }
     const std::uint32_t ts_sec = load32(0);
     const std::uint32_t ts_frac = load32(4);
     const std::uint32_t incl = load32(8);
     const std::uint32_t orig = load32(12);
-    if (std::uint64_t{incl} > max_incl || size - pos - 16 < incl) {
+    if (std::uint64_t{incl} > max_incl) {
+      // Garbage framing, not a plausible snap.
       end_ = pcap::ReadEnd::kTruncated;
-      return;
+      return pos;
+    }
+    if (size - pos - 16 < incl) {
+      if (at_end) end_ = pcap::ReadEnd::kTruncated;
+      return pos;
     }
     const std::int64_t ts_ns =
         std::int64_t{ts_sec} * 1'000'000'000 +
@@ -302,78 +292,34 @@ void ShardedReplay::produce_pcap_span() {
   }
 }
 
-/// Classic pcap fast path: the Reader already consumed and validated the
-/// 24-byte file header; from here the producer frames records out of
-/// ~1 MiB block reads, so steady state costs one istream::read per block
-/// instead of two per record. End-state classification matches
-/// pcap::Reader::next_into exactly: nothing left at a record boundary is
-/// kEof; a partial header, an implausible incl_len, or short data is
-/// kTruncated.
-void ShardedReplay::produce_pcap_fast() {
-  const pcap::FileHeader& hdr = pcap_->header();
-  const bool swap = hdr.swapped;
-  const bool nanos = hdr.nanosecond;
-  const std::uint64_t max_incl = std::uint64_t{hdr.snaplen} + 65536;
-
+/// Classic pcap from a stream: the constructor's Reader already consumed
+/// the file header; from here the records are walked out of ~1 MiB block
+/// reads, so steady state costs one istream::read per block instead of
+/// two per record. A record cut by the block end moves to the front of
+/// the buffer and completes with the next read.
+void ShardedReplay::produce_pcap_stream() {
   std::vector<std::uint8_t> buf;
   buf.resize(std::max<std::size_t>(  // syndog-lint: allow(hotpath.allocation) -- one block buffer per capture, sized up front
-      std::size_t{1} << 20, static_cast<std::size_t>(max_incl) + 16));
-  std::size_t pos = 0;
+      std::size_t{1} << 20,
+      static_cast<std::size_t>(max_incl_len(pcap_header_)) + 16));
   std::size_t filled = 0;
-  bool stream_done = false;
-
-  const auto fill = [&](std::size_t need) -> bool {
-    if (filled - pos >= need) return true;
+  for (;;) {
+    in_->read(reinterpret_cast<char*>(buf.data() + filled),
+              static_cast<std::streamsize>(buf.size() - filled));
+    const auto got = static_cast<std::size_t>(in_->gcount());
+    filled += got;
+    const std::size_t pos = walk_pcap(buf.data(), filled, 0, got == 0);
+    if (end_ != pcap::ReadEnd::kStreaming) return;
     std::memmove(buf.data(), buf.data() + pos, filled - pos);
     filled -= pos;
-    pos = 0;
-    while (filled < need && !stream_done) {
-      in_->read(reinterpret_cast<char*>(buf.data() + filled),
-                static_cast<std::streamsize>(buf.size() - filled));
-      const auto got = static_cast<std::size_t>(in_->gcount());
-      filled += got;
-      if (got == 0) stream_done = true;
-    }
-    return filled - pos >= need;
-  };
-  const auto load32 = [&](std::size_t off) -> std::uint32_t {
-    std::uint32_t v = 0;
-    std::memcpy(&v, buf.data() + pos + off, 4);
-    return swap ? bswap32(v) : v;
-  };
-
-  for (;;) {
-    if (!fill(16)) {
-      end_ = filled == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
-      return;
-    }
-    const std::uint32_t ts_sec = load32(0);
-    const std::uint32_t ts_frac = load32(4);
-    const std::uint32_t incl = load32(8);
-    const std::uint32_t orig = load32(12);
-    if (std::uint64_t{incl} > max_incl) {
-      // Garbage framing, not a plausible snap; same guard as the Reader.
-      end_ = pcap::ReadEnd::kTruncated;
-      return;
-    }
-    if (!fill(16U + incl)) {
-      end_ = pcap::ReadEnd::kTruncated;
-      return;
-    }
-    const std::int64_t ts_ns =
-        std::int64_t{ts_sec} * 1'000'000'000 +
-        (nanos ? std::int64_t{ts_frac} : std::int64_t{ts_frac} * 1000);
-    feed_record(ts_ns, orig, net::ByteSpan{buf.data() + pos + 16, incl});
-    pos += 16U + incl;
   }
 }
 
-/// pcapng (and any future formats CaptureSource learns): reuse the
-/// record-at-a-time reader — correctness over peak rate off the classic
-/// format.
+/// pcapng: the record-at-a-time reader — correctness over peak rate off
+/// the classic format.
 void ShardedReplay::produce_pcapng() {
   pcap::Record rec;
-  while (pcapng_->next(rec)) {
+  while (pcapng_->next_into(rec)) {
     feed_record(rec.timestamp.ns(), rec.orig_len,
                 net::ByteSpan{rec.data.data(), rec.data.size()});
   }
@@ -391,25 +337,8 @@ void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
   stats_.bytes += data.size();
   ++stats_.frames;
 
-  // Epoch rebase + monotonic clamp, in lockstep with ReplayEngine: the
-  // first *decoded* frame picks the epoch, and no frame may rewind time.
-  if (!first_seen_) {
-    first_seen_ = true;
-    switch (cfg_.origin) {
-      case TimeOrigin::kCaptureZero:
-        break;
-      case TimeOrigin::kFirstFrame:
-        epoch_ns_ = ts_ns;
-        break;
-      case TimeOrigin::kAuto:
-        if (ts_ns > kAbsoluteEpochFloorNs) epoch_ns_ = ts_ns;
-        break;
-    }
-  }
-  std::int64_t at = ts_ns - epoch_ns_;
-  if (at < last_at_ns_) at = last_at_ns_;
-  last_at_ns_ = at;
-  digest.at_ns = at;
+  // Same clock rule as ReplayEngine: only decoded frames reach it.
+  digest.at_ns = rebase_.next(util::SimTime::nanoseconds(ts_ns)).ns();
   digest.wire_bytes = orig_len;
 
   Shard& sh = *shards_[shard_of(flow_hash(digest), shards_.size())];
@@ -547,7 +476,7 @@ void ShardedReplay::consume_shard(Shard& sh) {
 /// health paths (gap rescale, outages, quarantine) cannot trigger here:
 /// replay timers are exact and there is no fault injection.
 void ShardedReplay::merge() {
-  const std::int64_t total_periods = last_at_ns_ / t0_ns_ + 1;
+  const std::int64_t total_periods = rebase_.last().ns() / t0_ns_ + 1;
   for (std::size_t s = 0; s < stubs_.size(); ++s) {
     core::SynDog dog(cfg_.params);
     std::vector<core::PeriodReport>& hist = histories_[s];
@@ -605,7 +534,6 @@ void ShardedReplay::publish_observations() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "ingest.shard." + std::to_string(i);
     registry_->counter(prefix + ".delivered").add(shards_[i]->delivered);
-    registry_->counter(prefix + ".dropped").add(0);
   }
 }
 

@@ -1,14 +1,27 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace syndog::util {
 
 /// Splits on `sep`, keeping empty fields ("a,,b" -> {"a","","b"}).
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char sep);
+
+/// Parses all of `text` as one number of type T (std::from_chars rules:
+/// no leading '+' or whitespace, no sign on an unsigned T). Trailing
+/// garbage and out-of-range values are errors; `out` is only meaningful
+/// on success.
+template <typename T>
+[[nodiscard]] bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && stop == end;
+}
 
 /// Strips ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);

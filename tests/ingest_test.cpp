@@ -1,7 +1,7 @@
-// Streaming capture-ingest pipeline tests: ring wraparound, backpressure
-// accounting, damaged-capture handling, replay/manual-loop equivalence,
-// and the sharded datapath against the single-threaded oracle (the
-// sharded suite also runs under tsan in CI).
+// Streaming capture-ingest tests: ring wraparound, replay accounting,
+// damaged-capture handling, replay/manual-loop equivalence, and the
+// sharded datapath against the single-threaded oracle (the ring and
+// sharded suites also run under tsan in CI).
 #include <gtest/gtest.h>
 
 #include "support/alloc_guard.hpp"
@@ -20,7 +20,6 @@
 #include "syndog/ingest/capture_source.hpp"
 #include "syndog/ingest/flow_hash.hpp"
 #include "syndog/ingest/frame_ring.hpp"
-#include "syndog/ingest/pipeline.hpp"
 #include "syndog/ingest/replay.hpp"
 #include "syndog/ingest/sharded.hpp"
 #include "syndog/net/digest.hpp"
@@ -73,17 +72,20 @@ std::string make_capture(std::size_t frames, SimTime span,
 }
 
 // ---------------------------------------------------------------------
-// FrameRing
+// SlotRing, on its production slot type (suite name is matched by the CI
+// tsan job)
+
+using DigestRing = SlotRing<net::FlowDigest>;
 
 TEST(FrameRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FrameRing(1).capacity(), 2u);
-  EXPECT_EQ(FrameRing(5).capacity(), 8u);
-  EXPECT_EQ(FrameRing(64).capacity(), 64u);
-  EXPECT_THROW(FrameRing(0), std::invalid_argument);
+  EXPECT_EQ(DigestRing(1).capacity(), 2u);
+  EXPECT_EQ(DigestRing(5).capacity(), 8u);
+  EXPECT_EQ(DigestRing(64).capacity(), 64u);
+  EXPECT_THROW(DigestRing(0), std::invalid_argument);
 }
 
 TEST(FrameRingTest, WraparoundPreservesOrderAndContent) {
-  FrameRing ring(4);
+  DigestRing ring(4);
   std::uint32_t produced = 0;
   std::uint32_t consumed = 0;
   util::Rng rng(11);
@@ -91,16 +93,16 @@ TEST(FrameRingTest, WraparoundPreservesOrderAndContent) {
   while (consumed < 1000) {
     const auto burst = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
     for (std::uint32_t i = 0; i < burst; ++i) {
-      Frame* slot = ring.try_claim();
+      net::FlowDigest* slot = ring.try_claim();
       if (slot == nullptr) break;
       slot->wire_bytes = produced;
-      slot->at = SimTime::nanoseconds(produced);
+      slot->at_ns = produced;
       ++produced;
       ring.publish();
     }
     const auto drain = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
     for (std::uint32_t i = 0; i < drain && !ring.empty(); ++i) {
-      const std::span<const Frame> run = ring.readable();
+      const std::span<const net::FlowDigest> run = ring.readable();
       ASSERT_FALSE(run.empty());
       ASSERT_EQ(run.front().wire_bytes, consumed);
       ++consumed;
@@ -115,7 +117,7 @@ TEST(FrameRingTest, SteadyStateProduceConsumeDoesNotAllocate) {
   // publishing, reading, and releasing frames afterwards must never
   // touch the heap (the runtime twin of the hotpath.allocation lint
   // rule on frame_ring.hpp).
-  FrameRing ring(64);
+  DigestRing ring(64);
   std::uint32_t produced = 0;
   util::Rng rng(23);
 
@@ -123,15 +125,15 @@ TEST(FrameRingTest, SteadyStateProduceConsumeDoesNotAllocate) {
     for (std::uint32_t r = 0; r < rounds; ++r) {
       const auto burst = static_cast<std::uint32_t>(rng.uniform_int(1, 48));
       for (std::uint32_t i = 0; i < burst; ++i) {
-        Frame* slot = ring.try_claim();
+        net::FlowDigest* slot = ring.try_claim();
         if (slot == nullptr) break;
         slot->wire_bytes = produced;
-        slot->at = SimTime::nanoseconds(produced);
+        slot->at_ns = produced;
         ++produced;
         ring.publish();
       }
       while (!ring.empty()) {
-        const std::span<const Frame> run = ring.readable();
+        const std::span<const net::FlowDigest> run = ring.readable();
         ring.release(run.size());
       }
     }
@@ -146,7 +148,7 @@ TEST(FrameRingTest, SteadyStateProduceConsumeDoesNotAllocate) {
 }
 
 TEST(FrameRingTest, FullRingRefusesClaim) {
-  FrameRing ring(2);
+  DigestRing ring(2);
   ASSERT_NE(ring.try_claim(), nullptr);
   ring.publish();
   ASSERT_NE(ring.try_claim(), nullptr);
@@ -157,13 +159,13 @@ TEST(FrameRingTest, FullRingRefusesClaim) {
 }
 
 TEST(FrameRingTest, OverReleaseThrows) {
-  FrameRing ring(4);
+  DigestRing ring(4);
   EXPECT_THROW(ring.release(1), std::logic_error);
 }
 
 TEST(FrameRingTest, CapacityErrorMessageExplainsConstraint) {
   try {
-    FrameRing ring(0);
+    DigestRing ring(0);
     FAIL() << "zero capacity must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -173,7 +175,7 @@ TEST(FrameRingTest, CapacityErrorMessageExplainsConstraint) {
 }
 
 TEST(FrameRingTest, ReleaseOverflowMessageAndPartialOverflow) {
-  FrameRing ring(4);
+  DigestRing ring(4);
   ASSERT_NE(ring.try_claim(), nullptr);
   ring.publish();
   ASSERT_NE(ring.try_claim(), nullptr);
@@ -296,113 +298,59 @@ TEST(CaptureSourceTest, RejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------
-// CapturePipeline
+// ReplayEngine accounting: records, decode failures, truncation and the
+// ingest.* counters
 
-/// Counts frames; accepts at most `accept_limit` per offer.
-class CountingSink final : public FrameSink {
+/// Counts delivered frames and checks they arrive in timestamp order.
+class CountingSink final : public ReplaySink {
  public:
-  explicit CountingSink(std::size_t accept_limit = SIZE_MAX)
-      : accept_limit_(accept_limit) {}
-  std::size_t on_batch(std::span<const Frame> batch) override {
-    const std::size_t take = std::min(batch.size(), accept_limit_);
-    for (const Frame& f : batch.first(take)) {
-      total_ += 1;
-      bytes_ += f.captured_bytes;
-      last_at_ = f.at;
-    }
-    ++offers_;
-    max_batch_ = std::max(max_batch_, batch.size());
-    return take;
+  void on_frame(SimTime at, const Frame& frame) override {
+    if (total_ != 0 && at < last_at_) ++out_of_order_;
+    total_ += 1;
+    bytes_ += frame.captured_bytes;
+    last_at_ = at;
   }
   std::uint64_t total_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t offers_ = 0;
-  std::size_t max_batch_ = 0;
+  std::uint64_t out_of_order_ = 0;
   SimTime last_at_;
-
- private:
-  std::size_t accept_limit_;
 };
 
 TEST(PipelineTest, DeliversEveryFrameInOrder) {
   const std::string capture = make_capture(500, SimTime::seconds(10), 2);
   std::istringstream in(capture, std::ios::binary);
-  PipelineConfig cfg;
-  cfg.ring_capacity = 16;  // force many fill/drain cycles and wraps
-  cfg.batch_size = 5;
-  CapturePipeline pipeline(in, cfg);
+  ReplayEngine engine(in, {});
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
+  engine.add_sink(sink);
+  engine.run();
   EXPECT_EQ(sink.total_, 500u);
-  EXPECT_EQ(pipeline.stats().frames, 500u);
-  EXPECT_EQ(pipeline.stats().records, 500u);
-  EXPECT_EQ(pipeline.stats().bytes, sink.bytes_);
-  EXPECT_LE(sink.max_batch_, 5u);
-  EXPECT_EQ(pipeline.delivered(0), 500u);
-  EXPECT_EQ(pipeline.dropped(0), 0u);
-  EXPECT_FALSE(pipeline.stats().truncated);
-}
-
-TEST(PipelineTest, BackpressureAccountingIsExact) {
-  // Property: for randomized ring/batch/acceptance shapes, every frame is
-  // either delivered or dropped — never both, never lost.
-  util::Rng rng(33);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto frames =
-        static_cast<std::size_t>(rng.uniform_int(50, 400));
-    const std::string capture =
-        make_capture(frames, SimTime::seconds(5),
-                     static_cast<std::uint64_t>(trial) + 100);
-    std::istringstream in(capture, std::ios::binary);
-    PipelineConfig cfg;
-    cfg.ring_capacity = static_cast<std::size_t>(rng.uniform_int(2, 64));
-    cfg.batch_size = static_cast<std::size_t>(rng.uniform_int(1, 17));
-    CapturePipeline pipeline(in, cfg);
-
-    CountingSink blocking(
-        static_cast<std::size_t>(rng.uniform_int(1, 8)));
-    CountingSink lossy(static_cast<std::size_t>(rng.uniform_int(1, 4)));
-    pipeline.add_sink("blocking", blocking, BackpressurePolicy::kBlock);
-    pipeline.add_sink("lossy", lossy, BackpressurePolicy::kDropNewest);
-    pipeline.run();
-
-    // kBlock: everything arrives, re-offered as often as needed.
-    EXPECT_EQ(blocking.total_, frames) << "trial " << trial;
-    EXPECT_EQ(pipeline.delivered(0), frames);
-    EXPECT_EQ(pipeline.dropped(0), 0u);
-    // kDropNewest: exact conservation of delivered + dropped.
-    EXPECT_EQ(lossy.total_, pipeline.delivered(1)) << "trial " << trial;
-    EXPECT_EQ(pipeline.delivered(1) + pipeline.dropped(1), frames)
-        << "trial " << trial;
-  }
-}
-
-TEST(PipelineTest, StalledBlockingSinkThrows) {
-  const std::string capture = make_capture(10, SimTime::seconds(1), 3);
-  std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
-  CountingSink stalled(0);  // never accepts anything
-  pipeline.add_sink("stalled", stalled, BackpressurePolicy::kBlock);
-  EXPECT_THROW(pipeline.run(), std::runtime_error);
+  EXPECT_EQ(sink.out_of_order_, 0u);
+  EXPECT_EQ(engine.stats().frames, 500u);
+  EXPECT_EQ(engine.stats().records, 500u);
+  EXPECT_EQ(engine.stats().bytes, sink.bytes_);
+  // make_capture stamps frame i at i * 10 s / 500.
+  EXPECT_EQ(sink.last_at_.ns(), 499 * SimTime::seconds(10).ns() / 500);
+  EXPECT_EQ(engine.end_state(), pcap::ReadEnd::kEof);
+  EXPECT_FALSE(engine.stats().truncated);
 }
 
 TEST(PipelineTest, TruncatedCaptureIsCountedNotSilent) {
   std::string capture = make_capture(20, SimTime::seconds(2), 4);
   capture.resize(capture.size() - 7);  // tear the last record
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in, {});
   CountingSink sink;
-  pipeline.add_sink("count", sink);
+  engine.add_sink(sink);
   obs::Registry registry;
-  pipeline.attach_observer(registry);
-  pipeline.run();
+  engine.attach_observer(registry);
+  engine.run();
   EXPECT_EQ(sink.total_, 19u);
-  EXPECT_TRUE(pipeline.stats().truncated);
-  EXPECT_EQ(pipeline.end_state(), pcap::ReadEnd::kTruncated);
+  EXPECT_TRUE(engine.stats().truncated);
+  EXPECT_EQ(engine.end_state(), pcap::ReadEnd::kTruncated);
   EXPECT_EQ(registry.counter("ingest.truncated_captures").value(), 1u);
   EXPECT_EQ(registry.counter("ingest.frames").value(), 19u);
-  EXPECT_EQ(registry.counter("ingest.sink.count.delivered").value(), 19u);
+  EXPECT_EQ(registry.counter("ingest.records").value(), 19u);
+  EXPECT_EQ(registry.counter("ingest.bytes").value(), sink.bytes_);
 }
 
 TEST(PipelineTest, GarbageTailStopsWithTruncation) {
@@ -411,12 +359,12 @@ TEST(PipelineTest, GarbageTailStopsWithTruncation) {
   std::string capture = make_capture(5, SimTime::seconds(1), 5);
   capture += "GARBAGE GARBAGE";  // 15 bytes: a torn record header
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in, {});
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
+  engine.add_sink(sink);
+  engine.run();
   EXPECT_EQ(sink.total_, 5u);
-  EXPECT_TRUE(pipeline.stats().truncated);
+  EXPECT_TRUE(engine.stats().truncated);
 }
 
 TEST(PipelineTest, SkipsUndecodableRecords) {
@@ -431,13 +379,16 @@ TEST(PipelineTest, SkipsUndecodableRecords) {
   const std::string capture = std::move(out).str();
 
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in, {});
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
-  EXPECT_EQ(pipeline.stats().records, 3u);
-  EXPECT_EQ(pipeline.stats().frames, 2u);
-  EXPECT_EQ(pipeline.stats().decode_failures, 1u);
+  engine.add_sink(sink);
+  obs::Registry registry;
+  engine.attach_observer(registry);
+  engine.run();
+  EXPECT_EQ(engine.stats().records, 3u);
+  EXPECT_EQ(engine.stats().frames, 2u);
+  EXPECT_EQ(engine.stats().decode_failures, 1u);
+  EXPECT_EQ(registry.counter("ingest.decode_failures").value(), 1u);
   EXPECT_EQ(sink.total_, 2u);
 }
 
@@ -534,7 +485,7 @@ TEST(ReplayEngineTest, AutoOriginRebasesAbsoluteTimestamps) {
   engine.run();
   EXPECT_EQ(engine.epoch().ns(), epoch_ns);
   EXPECT_EQ(engine.last_frame_at().ns(), 9'000'000'000LL);
-  EXPECT_EQ(engine.frames_replayed(), 10u);
+  EXPECT_EQ(engine.stats().frames, 10u);
 }
 
 TEST(ReplayEngineTest, MultiStubDemuxRoutesBothDirections) {
@@ -619,6 +570,7 @@ struct OracleResult {
   std::uint64_t local = 0;
   std::uint64_t unroutable = 0;
   PipelineStats stats;
+  pcap::ReadEnd end = pcap::ReadEnd::kStreaming;
   SimTime last_at;
 };
 
@@ -639,8 +591,51 @@ OracleResult run_oracle(const std::string& capture,
   }
   out.local = demux.local_frames();
   out.unroutable = demux.unroutable_frames();
+  out.end = engine.end_state();
   out.last_at = engine.last_frame_at();
   return out;
+}
+
+/// Asserts a finished sharded run's stats, end state, routing tallies,
+/// and every PeriodReport field (doubles compared exactly) match the
+/// oracle's.
+void expect_matches_oracle(const ShardedReplay& sharded,
+                           const OracleResult& oracle) {
+  EXPECT_EQ(sharded.stats().records, oracle.stats.records);
+  EXPECT_EQ(sharded.stats().frames, oracle.stats.frames);
+  EXPECT_EQ(sharded.stats().bytes, oracle.stats.bytes);
+  EXPECT_EQ(sharded.stats().decode_failures, oracle.stats.decode_failures);
+  EXPECT_EQ(sharded.stats().truncated, oracle.stats.truncated);
+  EXPECT_EQ(sharded.end_state(), oracle.end);
+  EXPECT_EQ(sharded.local_frames(), oracle.local);
+  EXPECT_EQ(sharded.unroutable_frames(), oracle.unroutable);
+  EXPECT_EQ(sharded.last_frame_at().ns(), oracle.last_at.ns());
+
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+    delivered += sharded.shard(i).delivered;
+  }
+  EXPECT_EQ(delivered, sharded.stats().frames);
+
+  ASSERT_EQ(sharded.stub_count(), oracle.histories.size());
+  for (std::size_t s = 0; s < oracle.histories.size(); ++s) {
+    SCOPED_TRACE("stub=" + std::to_string(s));
+    const std::vector<core::PeriodReport>& got = sharded.history(s);
+    const std::vector<core::PeriodReport>& want = oracle.histories[s];
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      SCOPED_TRACE("period=" + std::to_string(p));
+      EXPECT_EQ(got[p].period_index, want[p].period_index);
+      EXPECT_EQ(got[p].syn_count, want[p].syn_count);
+      EXPECT_EQ(got[p].syn_ack_count, want[p].syn_ack_count);
+      EXPECT_EQ(got[p].k_estimate, want[p].k_estimate);
+      EXPECT_EQ(got[p].delta, want[p].delta);
+      EXPECT_EQ(got[p].x, want[p].x);
+      EXPECT_EQ(got[p].y, want[p].y);
+      EXPECT_EQ(got[p].alarm, want[p].alarm);
+      EXPECT_EQ(got[p].x_clamped, want[p].x_clamped);
+    }
+  }
 }
 
 /// Runs the sharded datapath at 1..max_threads threads and asserts its
@@ -662,44 +657,8 @@ void expect_sharded_matches_oracle(const std::string& capture,
     cfg.default_stub = options.default_stub;
     ShardedReplay sharded(in, stubs, cfg);
     sharded.run();
-
-    EXPECT_EQ(sharded.stats().records, oracle.stats.records);
-    EXPECT_EQ(sharded.stats().frames, oracle.stats.frames);
-    EXPECT_EQ(sharded.stats().bytes, oracle.stats.bytes);
-    EXPECT_EQ(sharded.stats().decode_failures,
-              oracle.stats.decode_failures);
-    EXPECT_EQ(sharded.stats().truncated, oracle.stats.truncated);
-    EXPECT_EQ(sharded.local_frames(), oracle.local);
-    EXPECT_EQ(sharded.unroutable_frames(), oracle.unroutable);
-    EXPECT_EQ(sharded.last_frame_at().ns(), oracle.last_at.ns());
-
     ASSERT_EQ(sharded.shard_count(), threads);
-    std::uint64_t delivered = 0;
-    for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
-      delivered += sharded.shard(i).delivered;
-      EXPECT_EQ(sharded.shard(i).dropped, 0u);
-    }
-    EXPECT_EQ(delivered, sharded.stats().frames);
-
-    ASSERT_EQ(sharded.stub_count(), oracle.histories.size());
-    for (std::size_t s = 0; s < oracle.histories.size(); ++s) {
-      SCOPED_TRACE("stub=" + std::to_string(s));
-      const std::vector<core::PeriodReport>& got = sharded.history(s);
-      const std::vector<core::PeriodReport>& want = oracle.histories[s];
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t p = 0; p < want.size(); ++p) {
-        SCOPED_TRACE("period=" + std::to_string(p));
-        EXPECT_EQ(got[p].period_index, want[p].period_index);
-        EXPECT_EQ(got[p].syn_count, want[p].syn_count);
-        EXPECT_EQ(got[p].syn_ack_count, want[p].syn_ack_count);
-        EXPECT_EQ(got[p].k_estimate, want[p].k_estimate);
-        EXPECT_EQ(got[p].delta, want[p].delta);
-        EXPECT_EQ(got[p].x, want[p].x);
-        EXPECT_EQ(got[p].y, want[p].y);
-        EXPECT_EQ(got[p].alarm, want[p].alarm);
-        EXPECT_EQ(got[p].x_clamped, want[p].x_clamped);
-      }
-    }
+    expect_matches_oracle(sharded, oracle);
   }
 }
 
@@ -1062,6 +1021,62 @@ TEST(IngestShardedTest, SpanSourceMatchesStreamSourcePcapng) {
   }
   const std::string capture = buf.str();
   expect_span_matches_stream(capture, 2);
+}
+
+TEST(IngestShardedTest, SpanSourceMatchesStreamSourceAcrossBlocks) {
+  // The stream constructor walks records out of 1 MiB block reads that
+  // start after the 24-byte file header; the span constructor walks the
+  // whole capture in one pass. Over 1.5+ MiB of 70-byte records, a
+  // leading undecodable record of `lead` data bytes puts the first block
+  // end inside record data (no lead record), on a record boundary (30)
+  // or inside a record header (90), so records straddle the refill.
+  ASSERT_EQ(net::encode_frame(sample_packet(1, false)).size(), 54u);
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+  for (const std::size_t lead : {std::size_t{0}, std::size_t{30},
+                                 std::size_t{90}}) {
+    SCOPED_TRACE("lead=" + std::to_string(lead));
+    std::ostringstream out(std::ios::binary);
+    pcap::Writer writer(out);
+    if (lead != 0) writer.write(SimTime::zero(), net::ByteBuffer(lead, 0xEE));
+    util::Rng rng(lead + 7);
+    for (int i = 0; i < 24000; ++i) {
+      const auto host = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+      writer.write(
+          SimTime::nanoseconds(i * 5'000'000LL),
+          net::encode_frame(sample_packet(host, rng.uniform() < 0.5)));
+    }
+    writer.flush();
+    const std::string whole = std::move(out).str();
+    ASSERT_GT(whole.size(), std::size_t{3} << 19);
+
+    for (const std::string& capture :
+         {whole, whole.substr(0, whole.size() - 9)}) {
+      SCOPED_TRACE(capture.size() == whole.size() ? "intact" : "torn");
+      const OracleResult oracle = run_oracle(capture, stubs, params);
+      EXPECT_EQ(oracle.end, capture.size() == whole.size()
+                                ? pcap::ReadEnd::kEof
+                                : pcap::ReadEnd::kTruncated);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ShardedConfig cfg;
+        cfg.threads = threads;
+        cfg.params = params;
+        std::istringstream in(capture, std::ios::binary);
+        ShardedReplay from_stream(in, stubs, cfg);
+        from_stream.run();
+        expect_matches_oracle(from_stream, oracle);
+        ShardedReplay from_span(
+            net::ByteSpan{
+                reinterpret_cast<const std::uint8_t*>(capture.data()),
+                capture.size()},
+            stubs, cfg);
+        from_span.run();
+        expect_matches_oracle(from_span, oracle);
+      }
+    }
+  }
 }
 
 TEST(IngestShardedTest, SpanSourceRejectsGarbage) {

@@ -9,7 +9,7 @@ semantic ground truth.
 
 The seam list is *file-granular*: src/ingest mixes a threaded datapath
 (ShardedReplay's producer + consumers) with purely sequential ones
-(CapturePipeline, ReplayEngine, CaptureSource, framer, demux), so a
+(ReplayEngine, CaptureSource, AgentDemux), so a
 directory-wide waiver would silently bless a stray thread in the
 sequential files. Each entry is a path prefix, so a seam
 covers its .cpp, its header, and any `_test`/`_seam` corpus siblings.
@@ -26,8 +26,8 @@ from .model import ERROR, Finding, Rule, register
 # Sanctioned seams (path prefixes). In src/ingest only the files that
 # *are* the threading machinery qualify: the sharded replay's
 # producer/consumer fan-out and the SPSC ring primitive its handoff rides
-# on. The rest of the module (CapturePipeline, ReplayEngine,
-# CaptureSource, framer, AgentDemux) is sequential by contract and
+# on. The rest of the module (ReplayEngine, CaptureSource, AgentDemux)
+# is sequential by contract and
 # patrolled like any other code. src/campaign has no seam at all: the
 # campaign runs its cells on util::WorkerPool, so a thread or shared
 # mutable state anywhere in the module is flagged. src/telemetry (sink
