@@ -11,12 +11,16 @@
 //  * hiding     — f_i = 0.7 f_min: the spread-out attacker wins, nobody
 //    should alarm (the paper's evasion capacity, finally exercised).
 //
-// The detectable wave is additionally re-run with workers=8 and its
-// merged state digest byte-compared against the workers=1 run
-// (merge_match) — the determinism contract at full scale.
+// The detectable wave is additionally re-run with workers 2, 4 and 8.
+// Each run's merged state digest is byte-compared against the workers=1
+// run (merge_match) — the determinism contract at full scale — and the
+// wall-derived events_per_sec_w1/_w2/_w4 and speedup_w4 record how the
+// campaign scales with workers.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/experiment.hpp"
@@ -48,8 +52,16 @@ campaign::CampaignParams scale_params() {
   return p;
 }
 
-std::unique_ptr<campaign::CampaignSim> run_wave(double per_stub_rate,
-                                                int workers) {
+struct WaveRun {
+  std::unique_ptr<campaign::CampaignSim> sim;
+  double wall_s = 0.0;  ///< run_until only, not the set-up
+
+  [[nodiscard]] double events_per_sec() const {
+    return static_cast<double>(sim->events_executed()) / wall_s;
+  }
+};
+
+WaveRun run_wave(double per_stub_rate, int workers) {
   auto sim = std::make_unique<campaign::CampaignSim>(scale_params());
   for (int s = 0; s < kStubs; ++s) {
     sim->start_wire_background(s, kBgRate, SimTime::zero(),
@@ -68,8 +80,12 @@ std::unique_ptr<campaign::CampaignSim> run_wave(double per_stub_rate,
     }
     sim->launch_flood(s, 1, times, spoof);
   }
+  const obs::WallClock clock;
+  const std::int64_t wall_start = clock.now_ns();
   sim->run_until(SimTime::from_seconds(kEndS), workers);
-  return sim;
+  const double wall_s =
+      static_cast<double>(clock.now_ns() - wall_start) / 1e9;
+  return {std::move(sim), wall_s};
 }
 
 int alarmed_attacked(const campaign::CampaignSim& sim) {
@@ -87,7 +103,7 @@ int main() {
       "campaign_scale",
       "Sharded 1,000-stub campaign DES at the Eq. (8) hiding bound",
       "A_s=378 attacked stubs, f_i/f_min in {2.5, 1.0, 0.7}; workers 1 "
-      "vs 8 byte-compared");
+      "vs 2/4/8 byte-compared");
 
   // The sim's own sensitivity bound (conservative c = 0, like
   // bench_sensitivity_bound): K-bar settles at bg_rate * t0.
@@ -109,21 +125,19 @@ int main() {
                         {"hiding", 0.7}};
 
   std::string detectable_digest;
+  double detectable_wall_s = 0.0;
+  double detectable_events_per_sec = 0.0;
   for (const Wave& wave : waves) {
     const double rate = wave.ratio * f_min;
-    const obs::WallClock clock;
-    const std::int64_t wall_start = clock.now_ns();
-    const auto sim = run_wave(rate, 1);
-    const double wall_s =
-        static_cast<double>(clock.now_ns() - wall_start) / 1e9;
+    const WaveRun run = run_wave(rate, 1);
+    const auto& sim = run.sim;
     const int attacked = alarmed_attacked(*sim);
     const int total = sim->stubs_alarmed();
     std::printf(
         "%-10s  f_i=%.2f SYN/s (%.1fx f_min): %3d/%d attacked stubs "
         "alarmed, %d false alarms, %.2fs wall, %.2e events/s\n",
         wave.name, rate, wave.ratio, attacked, kAttackedStubs,
-        total - attacked, wall_s,
-        static_cast<double>(sim->events_executed()) / wall_s);
+        total - attacked, run.wall_s, run.events_per_sec());
     bench::sidecar()->scalar(std::string("fi_over_fmin_") + wave.name,
                              wave.ratio);
     bench::sidecar()->scalar(std::string("stubs_alarmed_") + wave.name,
@@ -132,13 +146,13 @@ int main() {
                              total - attacked);
     if (wave.ratio > 2.0) {
       detectable_digest = sim->state_digest();
+      detectable_wall_s = run.wall_s;
+      detectable_events_per_sec = run.events_per_sec();
       bench::sidecar()->scalar("stubs", kStubs);
       bench::sidecar()->scalar("hosts_simulated",
                                static_cast<double>(kStubs) *
                                    kHostsPerStub);
-      bench::sidecar()->scalar(
-          "events_per_sec",
-          static_cast<double>(sim->events_executed()) / wall_s);
+      bench::sidecar()->scalar("events_per_sec", detectable_events_per_sec);
       bench::sidecar()->scalar(
           "cross_records",
           static_cast<double>(sim->cross_stats().to_victim));
@@ -153,13 +167,30 @@ int main() {
     }
   }
 
-  // Determinism at scale: the same detectable wave on 8 workers must
-  // reproduce the workers=1 digest byte for byte.
-  const auto threaded = run_wave(2.5 * f_min, 8);
-  const bool match = threaded->state_digest() == detectable_digest;
+  // Determinism at scale: the same detectable wave on 2, 4 and 8
+  // workers must reproduce the workers=1 digest byte for byte. 8 workers
+  // oversubscribe a 4-CPU host on purpose.
+  std::printf("\nworkers  wall s   events/s  speedup  digest\n");
+  std::printf("%7d  %6.2f  %9.2e  %7.2f  (reference)\n", 1,
+              detectable_wall_s, detectable_events_per_sec, 1.0);
+  bench::sidecar()->scalar("events_per_sec_w1", detectable_events_per_sec);
+  bool match = true;
+  for (const int workers : {2, 4, 8}) {
+    const WaveRun run = run_wave(2.5 * f_min, workers);
+    const bool same = run.sim->state_digest() == detectable_digest;
+    match = match && same;
+    const double speedup = run.events_per_sec() / detectable_events_per_sec;
+    std::printf("%7d  %6.2f  %9.2e  %7.2f  %s\n", workers, run.wall_s,
+                run.events_per_sec(), speedup,
+                same ? "matches" : "DIVERGES");
+    if (workers == 8) continue;
+    bench::sidecar()->scalar("events_per_sec_w" + std::to_string(workers),
+                             run.events_per_sec());
+    if (workers == 4) bench::sidecar()->scalar("speedup_w4", speedup);
+  }
   bench::sidecar()->scalar("merge_match", match ? 1.0 : 0.0);
   std::printf(
-      "\nworkers=8 rerun: %zu-byte state digest %s the workers=1 run\n",
+      "\nworkers 2/4/8 reruns: %zu-byte state digest %s the workers=1 run\n",
       detectable_digest.size(), match ? "MATCHES" : "DIVERGES from");
   std::printf(
       "\nexpected: all attacked stubs alarm at 2.5x f_min, none hide at "

@@ -71,8 +71,7 @@ class AgentDemux final : public ReplaySink {
 
   /// Closes the final partial observation period on every agent by
   /// advancing the shared scheduler to the next period boundary. Call
-  /// once, after the replay (not in addition to
-  /// ReplayEngine::close_final_period — they advance the same clock).
+  /// once, after the replay.
   void close_final_period();
 
   [[nodiscard]] std::size_t stub_count() const { return stubs_.size(); }

@@ -136,9 +136,6 @@ class ReplayEngine final {
   /// truncated_captures}.
   void attach_observer(obs::Registry& registry);
 
-  /// Pacing seam for tests; nullptr restores the real monotonic clock.
-  void set_wall_clock(const obs::WallClock* clock);
-
   /// Streams the whole capture. Call once.
   const PipelineStats& run();
 
@@ -146,12 +143,6 @@ class ReplayEngine final {
   [[nodiscard]] pcap::ReadEnd end_state() const {
     return source_.end_state();
   }
-
-  /// Advances the scheduler to the end of the observation period
-  /// containing the last replayed frame, closing the final partial
-  /// period — the timer analogue of the manual loop's trailing
-  /// close_period(). Call after run(), once, with the agents' t0.
-  void close_final_period(util::SimTime t0);
 
   /// Capture timestamp subtracted from every frame (0 until the first
   /// frame is seen under kAuto/kFirstFrame).
@@ -172,8 +163,7 @@ class ReplayEngine final {
   PipelineStats stats_;
   EpochRebase rebase_;
   obs::Registry* registry_ = nullptr;
-  obs::WallClock real_clock_;
-  const obs::WallClock* wall_;
+  obs::WallClock wall_;  ///< paces kPaced replay
   std::int64_t pace_wall0_ns_ = 0;
   util::SimTime pace_sim0_ = util::SimTime::zero();
   bool ran_ = false;

@@ -15,8 +15,7 @@ void ReplayConfig::validate() const {
 ReplayEngine::ReplayEngine(std::istream& in, ReplayConfig cfg)
     : cfg_((cfg.validate(), cfg)),
       source_(in),
-      rebase_(cfg.origin),
-      wall_(&real_clock_) {}
+      rebase_(cfg.origin) {}
 
 void ReplayEngine::add_sink(ReplaySink& sink) { sinks_.push_back(&sink); }
 
@@ -25,23 +24,18 @@ void ReplayEngine::attach_observer(obs::Registry& registry) {
   scheduler_.attach_observer(&registry);
 }
 
-void ReplayEngine::set_wall_clock(const obs::WallClock* clock) {
-  wall_ = clock != nullptr ? clock : &real_clock_;
-}
-
 void ReplayEngine::pace(util::SimTime at) {
   if (stats_.frames == 1) {  // the first frame anchors capture to wall time
-    pace_wall0_ns_ = wall_->now_ns();
+    pace_wall0_ns_ = wall_.now_ns();
     pace_sim0_ = at;
   }
   const double capture_ns = static_cast<double>((at - pace_sim0_).ns());
   const std::int64_t target_wall_ns =
       pace_wall0_ns_ + static_cast<std::int64_t>(capture_ns / cfg_.speed);
   for (;;) {
-    const std::int64_t behind_ns = target_wall_ns - wall_->now_ns();
+    const std::int64_t behind_ns = target_wall_ns - wall_.now_ns();
     if (behind_ns <= 0) break;
-    // Sleep most of the gap, then re-check; caps per-sleep latency so a
-    // swapped-in test clock cannot strand us for the full capture span.
+    // Sleep most of the gap, then re-check; caps per-sleep latency.
     std::this_thread::sleep_for(std::chrono::nanoseconds(
         std::min<std::int64_t>(behind_ns, 50'000'000)));
   }
@@ -88,15 +82,6 @@ void ReplayEngine::publish_observations() {
   registry_->counter("ingest.decode_failures").add(stats_.decode_failures);
   registry_->counter("ingest.truncated_captures")
       .add(stats_.truncated ? 1 : 0);
-}
-
-void ReplayEngine::close_final_period(util::SimTime t0) {
-  if (t0 <= util::SimTime::zero()) {
-    throw std::invalid_argument("close_final_period: t0 must be positive");
-  }
-  const std::int64_t boundary_ns =
-      (scheduler_.now().ns() / t0.ns() + 1) * t0.ns();
-  scheduler_.run_until(util::SimTime::nanoseconds(boundary_ns));
 }
 
 }  // namespace syndog::ingest
