@@ -8,17 +8,21 @@
 //
 //   $ leaf_router_sim [key=value ...]      e.g. flood_rate=60 hosts=80
 #include <cstdio>
+#include <exception>
 
 #include "syndog/attack/flood.hpp"
 #include "syndog/core/agent.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/util/config.hpp"
 
-int main(int argc, char** argv) {
-  using namespace syndog;
-  using util::SimTime;
+namespace {
 
-  const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
+using namespace syndog;
+using util::SimTime;
+
+int run(const util::Config& cfg) {
+  cfg.require_known_keys(
+      {"hosts", "conn_rate", "flood_rate", "attacker", "minutes"});
   const auto hosts =
       static_cast<std::uint32_t>(cfg.get_int("hosts", 40));
   const double conn_rate = cfg.get_double("conn_rate", 8.0);
@@ -115,4 +119,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   network.cloud().stats().dropped_unreachable));
   return agent.ever_alarmed() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(util::Config::from_args(argc - 1, argv + 1));
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "leaf_router_sim: %s\n", ex.what());
+    return 2;
+  }
 }

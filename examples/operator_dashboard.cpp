@@ -16,6 +16,7 @@
 //
 //   $ operator_dashboard [stubs=3] [rate_per_stub=50] [minutes=8]
 #include <cstdio>
+#include <exception>
 #include <optional>
 #include <sstream>
 
@@ -43,10 +44,8 @@ int agent_index(const telemetry::TsfReader& reader, const std::string& name) {
   return -1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
+int run(const util::Config& cfg) {
+  cfg.require_known_keys({"stubs", "rate_per_stub", "minutes"});
   const int stubs = static_cast<int>(cfg.get_int("stubs", 3));
   const double rate_per_stub = cfg.get_double("rate_per_stub", 50.0);
   const SimTime sim_end = SimTime::minutes(cfg.get_int("minutes", 8));
@@ -175,4 +174,15 @@ int main(int argc, char** argv) {
   return aggregator.alarming_stubs() == static_cast<std::size_t>(stubs)
              ? 0
              : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(util::Config::from_args(argc - 1, argv + 1));
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "operator_dashboard: %s\n", ex.what());
+    return 2;
+  }
 }

@@ -24,6 +24,7 @@
 //
 // analyze and calibrate accept both classic pcap and pcapng files.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,6 +72,8 @@ core::SynDogParams parse_params(const util::Config& cfg) {
 }
 
 int cmd_gen_trace(const util::Config& cfg) {
+  cfg.require_known_keys(
+      {"site", "seed", "out", "flood_rate", "flood_start_min", "format"});
   const trace::SiteSpec spec = trace::site_spec(parse_site(cfg));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   const std::string out_path =
@@ -129,6 +132,7 @@ int cmd_gen_trace(const util::Config& cfg) {
 }
 
 int cmd_analyze(const std::string& path, const util::Config& cfg) {
+  cfg.require_known_keys({"stub", "a", "h", "N", "alpha", "t0"});
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -200,6 +204,7 @@ int cmd_analyze(const std::string& path, const util::Config& cfg) {
 }
 
 int cmd_sensitivity(const util::Config& cfg) {
+  cfg.require_known_keys({"site", "seed", "a", "h", "N", "alpha", "t0"});
   const trace::SiteSpec spec = trace::site_spec(parse_site(cfg));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   const trace::PeriodSeries ps = trace::extract_periods(
@@ -280,13 +285,21 @@ int cmd_sensitivity(const util::Config& cfg) {
 }
 
 int cmd_sweep(const util::Config& cfg) {
+  cfg.require_known_keys(
+      {"site", "trials", "rates", "a", "h", "N", "alpha", "t0"});
   const trace::SiteSpec spec = trace::site_spec(parse_site(cfg));
-  const int trials = static_cast<int>(cfg.get_int("trials", 10));
+  const std::int64_t trials = cfg.get_int("trials", 10);
+  if (trials < 1) throw std::invalid_argument("trials must be >= 1");
   const core::SynDogParams params = parse_params(cfg);
   std::vector<double> rates;
   for (const std::string& r :
        util::split(cfg.get_string("rates", "30,40,60,90"), ',')) {
-    rates.push_back(std::stod(r));
+    double rate = 0.0;
+    if (!util::parse_whole(r, rate) || !std::isfinite(rate) || rate <= 0.0) {
+      throw std::invalid_argument("rates: '" + r +
+                                  "' is not a positive flood rate");
+    }
+    rates.push_back(rate);
   }
 
   util::TextTable table({"fi (SYN/s)", "detect prob", "mean delay [t0]",
@@ -295,7 +308,7 @@ int cmd_sweep(const util::Config& cfg) {
     int detected = 0;
     int false_alarms = 0;
     double delay_sum = 0.0;
-    for (int t = 0; t < trials; ++t) {
+    for (std::int64_t t = 0; t < trials; ++t) {
       trace::PeriodSeries ps = trace::extract_periods(
           trace::generate_site_trace(spec, 7000 + t),
           params.observation_period);
@@ -340,6 +353,7 @@ int cmd_sweep(const util::Config& cfg) {
 /// SYN/ACK statistics, the normalized-difference mean c, and detector
 /// parameters recommended by the same rules AdaptiveSynDog uses.
 int cmd_calibrate(const std::string& path, const util::Config& cfg) {
+  cfg.require_known_keys({"stub", "t0"});
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -413,10 +427,11 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: syndog_tool <command> [key=value ...]\n"
-      "  gen-trace    [site= seed= out= flood_rate= flood_start_min=]\n"
-      "  analyze <pcap> [a= N= t0= alpha= stub=]\n"
-      "  sensitivity  [site= seed= a= t0=]\n"
-      "  sweep        [site= trials= rates= a= N= t0=]\n"
+      "  gen-trace    [site= seed= out= flood_rate= flood_start_min= "
+      "format=]\n"
+      "  analyze <pcap> [a= h= N= t0= alpha= stub=]\n"
+      "  sensitivity  [site= seed= a= h= N= t0= alpha=]\n"
+      "  sweep        [site= trials= rates= a= h= N= t0= alpha=]\n"
       "  calibrate <capture> [stub= t0=]\n");
 }
 

@@ -664,19 +664,4 @@ void CampaignSim::export_metrics(obs::Registry& registry) const {
       .add(static_cast<std::uint64_t>(stubs_alarmed()));
 }
 
-void CampaignSim::record_fleet(core::FleetRecorder& recorder,
-                               std::string_view name_prefix) const {
-  for (int s = 0; s < params_.stub_count; ++s) {
-    const StubNet& sn = *stubs_[static_cast<std::size_t>(s)];
-    const std::size_t slot = recorder.add_agent(
-        std::string(name_prefix) + std::to_string(s),
-        static_cast<std::uint32_t>(s), params_.agent_params);
-    for (const core::PeriodReport& r : sn.agent->history()) {
-      recorder.observe(slot, r.syn_count, r.syn_ack_count,
-                       params_.agent_params.observation_period *
-                           (r.period_index + 1));
-    }
-  }
-}
-
 }  // namespace syndog::campaign

@@ -34,12 +34,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "syndog/campaign/mailbox.hpp"
 #include "syndog/core/agent.hpp"
-#include "syndog/core/fleet.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
@@ -212,11 +210,6 @@ class CampaignSim {
   /// (call after run_until; counters are created in a fixed order so
   /// metric exports stay byte-stable).
   void export_metrics(obs::Registry& registry) const;
-  /// Replays every stub's period history into `recorder` in ascending
-  /// stub order (core::FleetRecorder's fast-forward observe() path), so
-  /// fleet telemetry of a sharded run is deterministic and merged.
-  void record_fleet(core::FleetRecorder& recorder,
-                    std::string_view name_prefix = "stub") const;
 
  private:
   struct StubNet {

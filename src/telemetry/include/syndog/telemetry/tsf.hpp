@@ -57,7 +57,7 @@ struct TsfSeries {
 /// Streaming writer. Register agents/metrics, open series, append
 /// samples, then finish(); the footer is written exactly once. Appends
 /// between block flushes touch only preallocated storage (the scratch
-/// encode buffer is sized at open_series time), so the inline drain mode
+/// encode buffer is sized at open_series time), so TelemetrySink::push
 /// stays off the allocator in steady state.
 class TsfWriter {
  public:

@@ -1,6 +1,6 @@
 #include "syndog/util/config.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -90,25 +90,16 @@ std::int64_t Config::get_int(std::string_view key,
   const auto v = get(key);
   if (!v) return fallback;
   std::int64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc{} || ptr != v->data() + v->size()) {
-    bad_value(key, *v, "integer");
-  }
+  if (!parse_whole(*v, out)) bad_value(key, *v, "integer");
   return out;
 }
 
 double Config::get_double(std::string_view key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(*v, &consumed);
-    if (consumed != v->size()) bad_value(key, *v, "double");
-    return out;
-  } catch (const std::logic_error&) {
-    bad_value(key, *v, "double");
-  }
+  double out = 0.0;
+  if (!parse_whole(*v, out)) bad_value(key, *v, "double");
+  return out;
 }
 
 bool Config::get_bool(std::string_view key, bool fallback) const {
@@ -117,6 +108,20 @@ bool Config::get_bool(std::string_view key, bool fallback) const {
   if (iequals(*v, "true") || *v == "1" || iequals(*v, "yes")) return true;
   if (iequals(*v, "false") || *v == "0" || iequals(*v, "no")) return false;
   bad_value(key, *v, "bool");
+}
+
+void Config::require_known_keys(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : entries_) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string list;
+    for (const std::string_view k : known) {
+      list += list.empty() ? "" : ", ";
+      list += k;
+    }
+    throw std::invalid_argument("config: unknown key '" + key +
+                                "' (expected one of: " + list + ")");
+  }
 }
 
 std::vector<std::string> Config::keys() const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -45,6 +46,10 @@ class Config {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
+
+  /// Throws std::invalid_argument naming the first key not in `known`, so
+  /// a typo'd key fails instead of silently running the default.
+  void require_known_keys(std::initializer_list<std::string_view> known) const;
 
   [[nodiscard]] std::vector<std::string> keys() const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }

@@ -1,7 +1,6 @@
 // Fleet telemetry backend: syndog-tsf/1 round-trip and damage tolerance,
-// TelemetrySink drain modes (inline reference vs consumer thread), the
-// byte-identity contract between them, rollups, and the zero-allocation
-// guarantee on the producer path.
+// TelemetrySink (run-to-run byte identity, push-after-finish, the obs
+// adapters), rollups, and the zero-allocation guarantee on the push path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 
 #include "syndog/core/fleet.hpp"
 #include "syndog/core/syndog.hpp"
-#include "syndog/telemetry/queue.hpp"
 #include "syndog/telemetry/rollup.hpp"
 #include "syndog/telemetry/sink.hpp"
 #include "syndog/telemetry/tsf.hpp"
@@ -25,44 +23,13 @@ namespace {
 
 using syndog::core::FleetRecorder;
 using syndog::core::SynDogParams;
-using syndog::telemetry::DrainMode;
 using syndog::telemetry::ReadEnd;
-using syndog::telemetry::SampleQueue;
 using syndog::telemetry::TelemetrySink;
-using syndog::telemetry::TelemetrySinkConfig;
 using syndog::telemetry::TsfReader;
 using syndog::telemetry::TsfSample;
 using syndog::telemetry::TsfWriter;
 using syndog::util::Rng;
 using syndog::util::SimTime;
-
-// ---------------------------------------------------------------- queue
-
-TEST(SampleQueueTest, FifoAndOverflow) {
-  SampleQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full: refused, not blocked
-  int out = -1;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.try_pop(out));
-  // Slots recycle after wrap-around.
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(q.try_push(round));
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, round);
-  }
-}
-
-TEST(SampleQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SampleQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SampleQueue<int>(5).capacity(), 8u);
-  EXPECT_EQ(SampleQueue<int>(64).capacity(), 64u);
-  EXPECT_THROW(SampleQueue<int>(0), std::invalid_argument);
-}
 
 // ------------------------------------------------------------ tsf format
 
@@ -268,14 +235,10 @@ TEST(TsfFormatTest, EmptyFileIsCleanEof) {
 
 /// Drives the same deterministic mini-campaign through a sink and returns
 /// the file bytes plus final stats.
-std::string run_campaign(DrainMode mode, std::uint64_t seed,
+std::string run_campaign(std::uint64_t seed,
                          syndog::telemetry::SinkStats* stats_out = nullptr) {
   std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = mode;
-  cfg.queue_capacity = 1 << 14;
-  cfg.block_capacity = 64;
-  TelemetrySink sink(out, cfg);
+  TelemetrySink sink(out, /*block_capacity=*/64);
   FleetRecorder fleet(sink);
   Rng rng(seed);
   for (int a = 0; a < 8; ++a) {
@@ -301,15 +264,14 @@ std::string run_campaign(DrainMode mode, std::uint64_t seed,
 
 TEST(TelemetrySinkTest, InlineCampaignRoundTrips) {
   syndog::telemetry::SinkStats stats;
-  const std::string bytes = run_campaign(DrainMode::kInline, 7, &stats);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.pushed, stats.drained);
+  const std::string bytes = run_campaign(7, &stats);
+  EXPECT_GT(stats.pushed, 0u);
   EXPECT_GT(stats.blocks, 0u);
   std::istringstream in(bytes);
   TsfReader reader(in);
   EXPECT_EQ(reader.end(), ReadEnd::kEof);
   EXPECT_EQ(reader.agents().size(), 8u);
-  EXPECT_EQ(reader.total_samples(), stats.drained);
+  EXPECT_EQ(reader.total_samples(), stats.pushed);
 
   const auto timeline = syndog::telemetry::alarm_timeline(reader, "alarm");
   EXPECT_EQ(timeline.agents_alarmed, 1u);  // only the flooding stub
@@ -323,10 +285,8 @@ TEST(TelemetrySinkTest, InlineCampaignRoundTrips) {
 }
 
 TEST(TelemetrySinkTest, SameSeedSameBytes) {
-  EXPECT_EQ(run_campaign(DrainMode::kInline, 41),
-            run_campaign(DrainMode::kInline, 41));
-  EXPECT_NE(run_campaign(DrainMode::kInline, 41),
-            run_campaign(DrainMode::kInline, 42));
+  EXPECT_EQ(run_campaign(41), run_campaign(41));
+  EXPECT_NE(run_campaign(41), run_campaign(42));
 }
 
 TEST(TelemetrySinkTest, PushAfterFinishThrows) {
@@ -376,96 +336,11 @@ TEST(TelemetrySinkTest, SnapshotAndTraceAdapters) {
   EXPECT_FALSE(timeline.edges[1].raised);
 }
 
-// -------------------------------------------------- threaded drain (tsan)
-
-TEST(TelemetryThreadedTest, ByteIdenticalToInlineReference) {
-  syndog::telemetry::SinkStats inline_stats;
-  syndog::telemetry::SinkStats threaded_stats;
-  const std::string ref = run_campaign(DrainMode::kInline, 11, &inline_stats);
-  const std::string threaded =
-      run_campaign(DrainMode::kThreaded, 11, &threaded_stats);
-  ASSERT_EQ(threaded_stats.dropped, 0u);
-  EXPECT_EQ(threaded_stats.drained, inline_stats.drained);
-  EXPECT_EQ(threaded, ref);  // the contract: interleaving never reaches bytes
-}
-
-TEST(TelemetryThreadedTest, AccountingBalancesUnderPressure) {
-  // A deliberately tiny queue: drops are *allowed* here — the invariant
-  // under pressure is that nothing vanishes silently and the file holds
-  // exactly the drained samples.
-  std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 8;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  constexpr std::uint64_t kAttempts = 50'000;
-  for (std::uint64_t i = 0; i < kAttempts; ++i) {
-    sink.push(series, SimTime::nanoseconds(static_cast<std::int64_t>(i)),
-              static_cast<double>(i));
-  }
-  sink.finish();
-  const auto stats = sink.stats();
-  EXPECT_EQ(stats.pushed + stats.dropped, kAttempts);
-  EXPECT_EQ(stats.drained, stats.pushed);
-  std::istringstream in(out.str());
-  TsfReader reader(in);
-  EXPECT_EQ(reader.end(), ReadEnd::kEof);
-  EXPECT_EQ(reader.total_samples(), stats.drained);
-}
-
-TEST(TelemetryThreadedTest, FinishDrainsEverythingPushedBeforeIt) {
-  std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  constexpr std::uint64_t kSamples = 20'000;
-  for (std::uint64_t i = 0; i < kSamples; ++i) {
-    sink.push(series, SimTime::nanoseconds(static_cast<std::int64_t>(i)),
-              static_cast<double>(i));
-  }
-  sink.finish();
-  const auto stats = sink.stats();
-  ASSERT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.drained, kSamples);
-}
-
 // ------------------------------------------------------- allocation guard
-
-TEST(TelemetryAllocTest, ThreadedPushIsAllocationFree) {
-  std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 1 << 15;
-  // Block capacity larger than the pushed count: the consumer appends into
-  // preallocated column vectors and never flushes during the window, so
-  // the guard covers the whole pipeline, not just the queue.
-  cfg.block_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  sink.push(series, SimTime::seconds(20), 1.0);  // warm-up
-
-  syndog::testsupport::AllocGuard guard;
-  for (int i = 0; i < 10'000; ++i) {
-    sink.push(series, SimTime::seconds(20 * (i + 2)),
-              static_cast<double>(i));
-  }
-  const std::size_t allocs = guard.stop();
-  EXPECT_EQ(allocs, 0u);
-  sink.finish();
-  EXPECT_EQ(sink.stats().dropped, 0u);
-}
 
 TEST(TelemetryAllocTest, InlineAppendIsAllocationFreeBetweenFlushes) {
   std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.block_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
+  TelemetrySink sink(out, /*block_capacity=*/1 << 16);
   const std::uint32_t agent = sink.register_agent("stub", 64512);
   const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
   sink.push(series, SimTime::seconds(20), 1.0);

@@ -192,6 +192,28 @@ TEST(ConfigTest, FallbacksAndErrors) {
   EXPECT_THROW((void)Config::from_text("justakey\n"), std::invalid_argument);
 }
 
+TEST(ConfigTest, DoublesParseWholeValuesOnly) {
+  const Config cfg = Config::from_text("rate=1.5x\nok=2.5e1\nneg=-0.25\n");
+  EXPECT_THROW((void)cfg.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(cfg.get_double("ok", 0.0), 25.0);
+  EXPECT_DOUBLE_EQ(cfg.get_double("neg", 0.0), -0.25);
+  EXPECT_DOUBLE_EQ(cfg.get_double("missing", 3.0), 3.0);
+}
+
+TEST(ConfigTest, RequireKnownKeysNamesTheStrayKey) {
+  const char* argv[] = {"trails=1", "rates=30"};
+  const Config cfg = Config::from_args(2, argv);
+  EXPECT_NO_THROW(cfg.require_known_keys({"trails", "rates"}));
+  EXPECT_NO_THROW(Config{}.require_known_keys({}));
+  try {
+    cfg.require_known_keys({"site", "trials", "rates"});
+    FAIL() << "unknown key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'trails'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ConfigTest, MergeOverrides) {
   Config base = Config::from_text("a=1\nb=2\n");
   base.merge(Config::from_text("b=3\nc=4\n"));

@@ -30,15 +30,15 @@ from .model import ERROR, Finding, Rule, register
 # is sequential by contract and
 # patrolled like any other code. src/campaign has no seam at all: the
 # campaign runs its cells on util::WorkerPool, so a thread or shared
-# mutable state anywhere in the module is flagged. src/telemetry (sink
-# drain thread) and src/util (util::WorkerPool in worker_pool.{hpp,cpp},
-# the one fork-join thread owner, plus logging level atomics) stay
-# module-wide seams — their concurrency is not confined to one file.
+# mutable state anywhere in the module is flagged, and likewise in
+# src/telemetry: the sink appends on the producer's thread. src/util
+# (util::WorkerPool in worker_pool.{hpp,cpp}, the one thread owner, plus
+# logging level atomics) stays a module-wide seam — its concurrency is
+# not confined to one file.
 _SEAM_DIRS = (
     "src/ingest/sharded",
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
-    "src/telemetry/",
     "src/util/",
 )
 
@@ -74,8 +74,8 @@ def _check_raw_thread(sf: SourceFile, ctx) -> Iterable[Finding]:
                 lineno,
                 "",
                 "thread spawning lives only in the sanctioned seam files "
-                "(src/ingest sharded/frame_ring, src/telemetry sink "
-                "drain, src/util worker_pool); route "
+                "(src/ingest sharded/frame_ring, src/util worker_pool); "
+                "route "
                 "parallel work through those seams so the deterministic "
                 "single-thread reference stays authoritative",
             )
@@ -93,8 +93,8 @@ register(
             "ingest must match the single-thread pump exactly; sharded DES "
             "must merge to byte-identical sidecars) is only checkable if "
             "thread creation is confined to seams built for it: "
-            "util::WorkerPool (which runs campaign cells and ingest shards), "
-            "the telemetry sink drain, and ShardedReplay's rings. A thread "
+            "util::WorkerPool (which runs campaign cells and ingest shards) "
+            "and ShardedReplay's rings. A thread "
             "spawned elsewhere bypasses the barriers, mailboxes, and "
             "deterministic-merge machinery those seams provide."
         ),
@@ -317,8 +317,8 @@ def _scan_scope(
                         "",
                         f"{where} mutable object '{name_tok.text}' is shared "
                         "state outside the sanctioned seam files (src/ingest "
-                        "sharded/frame_ring, src/telemetry, src/util "
-                        "worker_pool); pass state explicitly or move the seam",
+                        "sharded/frame_ring, src/util worker_pool); pass "
+                        "state explicitly or move the seam",
                     )
                 )
         elif not mutable_decl and _is_function_decl(tokens, i, decl_end):
