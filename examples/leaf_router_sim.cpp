@@ -7,8 +7,13 @@
 // and triggers RFC 2267 ingress filtering that squelches the attack.
 //
 //   $ leaf_router_sim [key=value ...]      e.g. flood_rate=60 hosts=80
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "syndog/attack/flood.hpp"
 #include "syndog/core/agent.hpp"
@@ -23,13 +28,34 @@ using util::SimTime;
 int run(const util::Config& cfg) {
   cfg.require_known_keys(
       {"hosts", "conn_rate", "flood_rate", "attacker", "minutes"});
-  const auto hosts =
-      static_cast<std::uint32_t>(cfg.get_int("hosts", 40));
-  const double conn_rate = cfg.get_double("conn_rate", 8.0);
-  const double flood_rate = cfg.get_double("flood_rate", 45.0);
-  const auto attacker =
-      static_cast<std::uint32_t>(cfg.get_int("attacker", 17));
-  const SimTime sim_end = SimTime::minutes(cfg.get_int("minutes", 12));
+  // StubNetworkSim bounds the host count by its prefix and launch_flood
+  // bounds the attacker index by the host count; this only keeps the
+  // narrowing cast from wrapping an out-of-range value into range.
+  const auto index = [&cfg](const char* key, std::int64_t fallback) {
+    const std::int64_t value = cfg.get_int(key, fallback);
+    if (value < 1 || value > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument(std::string(key) + " out of range: " +
+                                  std::to_string(value));
+    }
+    return static_cast<std::uint32_t>(value);
+  };
+  const std::uint32_t hosts = index("hosts", 40);
+  // A rate must be finite and > 0: the arrival loop below steps by the
+  // mean gap 1/rate, which a negative rate turns into an endless loop.
+  const auto rate = [&cfg](const char* key, double fallback) {
+    const double value = cfg.get_double(key, fallback);
+    if (!std::isfinite(value) || value <= 0.0) {
+      throw std::invalid_argument(std::string(key) +
+                                  " must be finite and > 0");
+    }
+    return value;
+  };
+  const double conn_rate = rate("conn_rate", 8.0);
+  const double flood_rate = rate("flood_rate", 45.0);
+  const std::uint32_t attacker = index("attacker", 17);
+  const std::int64_t minutes = cfg.get_int("minutes", 12);
+  if (minutes < 1) throw std::invalid_argument("minutes must be >= 1");
+  const SimTime sim_end = SimTime::minutes(minutes);
 
   sim::StubNetworkParams params;
   params.num_hosts = hosts;

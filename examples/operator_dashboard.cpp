@@ -15,10 +15,14 @@
 // evidence the fleet schema deliberately does not ship).
 //
 //   $ operator_dashboard [stubs=3] [rate_per_stub=50] [minutes=8]
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "syndog/attack/campaign.hpp"
 #include "syndog/core/agent.hpp"
@@ -46,9 +50,21 @@ int agent_index(const telemetry::TsfReader& reader, const std::string& name) {
 
 int run(const util::Config& cfg) {
   cfg.require_known_keys({"stubs", "rate_per_stub", "minutes"});
-  const int stubs = static_cast<int>(cfg.get_int("stubs", 3));
+  // MultiStubSim bounds the stub count; this only keeps the narrowing
+  // cast from wrapping an out-of-range value into range.
+  const std::int64_t stubs_arg = cfg.get_int("stubs", 3);
+  if (stubs_arg < 1 || stubs_arg > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("stubs out of range: " +
+                                std::to_string(stubs_arg));
+  }
+  const int stubs = static_cast<int>(stubs_arg);
   const double rate_per_stub = cfg.get_double("rate_per_stub", 50.0);
-  const SimTime sim_end = SimTime::minutes(cfg.get_int("minutes", 8));
+  if (!std::isfinite(rate_per_stub) || rate_per_stub <= 0.0) {
+    throw std::invalid_argument("rate_per_stub must be finite and > 0");
+  }
+  const std::int64_t minutes = cfg.get_int("minutes", 8);
+  if (minutes < 1) throw std::invalid_argument("minutes must be >= 1");
+  const SimTime sim_end = SimTime::minutes(minutes);
 
   sim::MultiStubParams params;
   params.stub_count = stubs;

@@ -195,7 +195,7 @@ int replay(const std::string& path, double pace,
   ingest::AgentDemux demux(engine.scheduler(), stubs,
                            core::SynDogParams::paper_defaults(), options);
   obs::Registry registry;
-  demux.attach_observer(nullptr, registry);
+  demux.attach_observer(registry);
   engine.attach_observer(registry);
   engine.add_sink(demux);
 

@@ -47,48 +47,40 @@ SynDogAgent::SynDogAgent(sim::LeafRouter& router, sim::Scheduler& scheduler,
     router.add_outbound_tap(
         [this](util::SimTime at, const net::Packet& packet) {
           const classify::SegmentKind kind = outbound_.on_packet(packet);
-          if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
+          if (outbound_metrics_) outbound_metrics_->on_segment(kind);
           locator_.on_packet(at, packet);
         });
     router.add_inbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
+        [this](util::SimTime, const net::Packet& packet) {
           const classify::SegmentKind kind = inbound_.on_packet(packet);
-          if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
+          if (inbound_metrics_) inbound_metrics_->on_segment(kind);
         });
   } else {
     // Last mile: the flood *arrives* through the inbound interface and
     // the victim's SYN/ACK replies leave through the outbound one. The
     // sources are beyond the router, so there is no MAC evidence.
     router.add_inbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
+        [this](util::SimTime, const net::Packet& packet) {
           // counts SYNs (role kOutbound)
           const classify::SegmentKind kind = outbound_.on_packet(packet);
-          if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
+          if (outbound_metrics_) outbound_metrics_->on_segment(kind);
         });
     router.add_outbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
+        [this](util::SimTime, const net::Packet& packet) {
           // counts SYN/ACKs (role kInbound)
           const classify::SegmentKind kind = inbound_.on_packet(packet);
-          if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
+          if (inbound_metrics_) inbound_metrics_->on_segment(kind);
         });
   }
   last_rollover_ = scheduler_.now();
   schedule_next_period();
 }
 
-void SynDogAgent::attach_observer(obs::EventTracer* tracer,
-                                  obs::Registry& registry) {
-  tracer_ = tracer;
+void SynDogAgent::attach_observer(obs::Registry& registry) {
   registry_ = &registry;
-  // The detector stamps period n at epoch + (n+1)·t0; with the current
-  // scheduler time minus the periods already fed as the epoch, that lands
-  // exactly on the scheduler time of each on_period_end() tick.
-  syndog_.attach_observer(
-      tracer, &registry,
-      scheduler_.now() -
-          syndog_.periods_observed() * params_.observation_period);
-  outbound_metrics_.emplace(registry, "sniffer.out", tracer);
-  inbound_metrics_.emplace(registry, "sniffer.in", tracer);
+  syndog_.attach_observer(&registry);
+  outbound_metrics_.emplace(registry, "sniffer.out");
+  inbound_metrics_.emplace(registry, "sniffer.in");
 }
 
 void SynDogAgent::set_period_callback(PeriodCallback cb) {
@@ -113,7 +105,7 @@ void SynDogAgent::notify_sniffer_outage(bool active) {
   if (active) {
     outage_touched_ = true;
     clean_streak_ = 0;
-    transition(AgentHealth::kBlind, HealthReason::kSnifferOutage);
+    transition(AgentHealth::kBlind);
   }
   // Deactivation is acted on at the next rollover: the partial counters
   // are discarded once more and the agent re-arms through quarantine.
@@ -132,17 +124,9 @@ void SynDogAgent::schedule_next_period() {
                                             [this] { on_period_end(); });
 }
 
-void SynDogAgent::transition(AgentHealth to, HealthReason reason) {
+void SynDogAgent::transition(AgentHealth to) {
   if (health_ == to) return;
-  const auto from = static_cast<std::uint8_t>(health_);
   health_ = to;
-  if (tracer_ != nullptr) {
-    tracer_->record(scheduler_.now(),
-                    obs::HealthTransition{from,
-                                          static_cast<std::uint8_t>(to),
-                                          static_cast<std::uint8_t>(reason),
-                                          syndog_.periods_observed()});
-  }
   if (registry_ != nullptr) {
     registry_->counter("agent.health_transitions").add();
   }
@@ -158,14 +142,14 @@ void SynDogAgent::begin_quarantine() {
   ++recoveries_;
   clean_streak_ = 0;
   if (registry_ != nullptr) registry_->counter("agent.recoveries").add();
-  transition(AgentHealth::kDegraded, HealthReason::kQuarantine);
+  transition(AgentHealth::kDegraded);
 }
 
 void SynDogAgent::note_clean_period() {
   ++clean_streak_;
   if (health_ == AgentHealth::kDegraded && quarantine_remaining_ == 0 &&
       clean_streak_ >= policy_.heal_after) {
-    transition(AgentHealth::kHealthy, HealthReason::kRecovered);
+    transition(AgentHealth::kHealthy);
   }
   if (backoff_periods_ > policy_.quarantine_initial &&
       clean_streak_ % policy_.backoff_decay_after == 0) {
@@ -207,7 +191,7 @@ void SynDogAgent::on_period_end() {
         static_cast<std::int64_t>(std::llround(ratio)) - 1, 1);
     syndog_.note_gap_periods(missed);
     clean_streak_ = 0;
-    transition(AgentHealth::kDegraded, HealthReason::kPeriodGap);
+    transition(AgentHealth::kDegraded);
     syns = std::llround(static_cast<double>(syns) / ratio);
     syn_acks = std::llround(static_cast<double>(syn_acks) / ratio);
   }
@@ -240,7 +224,7 @@ void SynDogAgent::on_period_end() {
       if (registry_ != nullptr) {
         registry_->counter("agent.collapse_periods").add();
       }
-      transition(AgentHealth::kDegraded, HealthReason::kSynAckCollapse);
+      transition(AgentHealth::kDegraded);
       schedule_next_period();
       return;
     }
@@ -248,10 +232,6 @@ void SynDogAgent::on_period_end() {
     consecutive_collapsed_ = 0;
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->record(now, obs::PeriodRollover{syndog_.periods_observed(),
-                                             syns, syn_acks});
-  }
   const PeriodReport report = syndog_.observe_period(syns, syn_acks);
   history_.push_back(report);
 

@@ -32,7 +32,6 @@
 #include "syndog/ingest/replay.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/sim/scheduler.hpp"
 
 namespace syndog::ingest {
@@ -63,9 +62,9 @@ class AgentDemux final : public ReplaySink {
   AgentDemux& operator=(const AgentDemux&) = delete;
 
   /// Wires per-stub router counters ("router.<name>.*"), agent telemetry,
-  /// and demux counters ("ingest.demux.*") into the sinks. `tracer` may
-  /// be nullptr; both must outlive the demux.
-  void attach_observer(obs::EventTracer* tracer, obs::Registry& registry);
+  /// and demux counters ("ingest.demux.*") into `registry`, which must
+  /// outlive the demux.
+  void attach_observer(obs::Registry& registry);
 
   void on_frame(util::SimTime at, const Frame& frame) override;
 

@@ -1,11 +1,11 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
-// The registry is the accumulation side of the telemetry layer (the event
-// tracer in trace.hpp is the sequencing side). Instruments are created once
-// by name and then updated through stable references, so the hot paths the
-// paper's "low computation overhead" claim covers (classifier, sniffers,
-// CUSUM update) pay one integer add per observation — no lookup, no lock,
-// no allocation.
+// The registry is the in-process observer of the telemetry layer (the
+// per-period record is core::FleetRecorder -> telemetry::TelemetrySink).
+// Instruments are created once by name and then updated through stable
+// references, so the hot paths the paper's "low computation overhead" claim
+// covers (classifier, sniffers, CUSUM update) pay one integer add per
+// observation — no lookup, no lock, no allocation.
 //
 // Snapshots are stable-ordered (sorted by name) and render to JSON with
 // deterministic number formatting, so two identical runs produce identical

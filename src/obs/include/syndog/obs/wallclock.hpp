@@ -8,8 +8,9 @@
 // ManualWallClock to make timing code itself deterministic.
 //
 // Wall-clock readings may feed metrics (perf histograms in a Registry) but
-// must never be recorded into an EventTracer: event exports are part of the
-// byte-identical-replay contract.
+// must never reach a deterministic output (the sim-clock "syndog.*" /
+// "sim.*" instruments, the tsf fleet stream, the deterministic bench
+// sidecar sections): those are part of the byte-identical-replay contract.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@ namespace syndog::sim {
 
 struct MultiStubParams {
   int stub_count = 3;
-  std::uint32_t hosts_per_stub = 25;
+  std::uint32_t hosts_per_stub = 25;  ///< in [1, 65534] (one /16 per stub)
   util::SimTime lan_delay = util::SimTime::microseconds(100);
   LinkParams uplink;
   LinkParams downlink;

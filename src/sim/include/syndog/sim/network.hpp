@@ -23,7 +23,7 @@ namespace syndog::sim {
 
 struct StubNetworkParams {
   net::Ipv4Prefix stub_prefix = *net::Ipv4Prefix::parse("10.1.0.0/16");
-  std::uint32_t num_hosts = 50;
+  std::uint32_t num_hosts = 50;  ///< in [1, stub_prefix.size() - 2]
   util::SimTime lan_delay = util::SimTime::microseconds(100);
   LinkParams uplink;    ///< router -> Internet
   LinkParams downlink;  ///< Internet -> router

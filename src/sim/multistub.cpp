@@ -19,8 +19,12 @@ MultiStubSim::MultiStubSim(MultiStubParams params)
   if (params_.stub_count < 1 || params_.stub_count > 200) {
     throw std::invalid_argument("MultiStubSim: stub_count in [1,200]");
   }
-  if (params_.hosts_per_stub == 0) {
-    throw std::invalid_argument("MultiStubSim: need at least one host");
+  // Host i of a stub is prefix.host(i); a /16 holds 65534 of them, and a
+  // larger index would land in the next stub's prefix.
+  const std::uint64_t max_hosts = prefix_for(0).size() - 2;
+  if (params_.hosts_per_stub == 0 || params_.hosts_per_stub > max_hosts) {
+    throw std::invalid_argument("MultiStubSim: hosts_per_stub in [1, " +
+                                std::to_string(max_hosts) + "]");
   }
 
   // The cloud is created around stub 0's downlink; the others register

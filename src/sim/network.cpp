@@ -1,6 +1,7 @@
 #include "syndog/sim/network.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace syndog::sim {
 
@@ -8,8 +9,13 @@ StubNetworkSim::StubNetworkSim(StubNetworkParams params)
     : params_(params),
       workload_rng_(util::Rng::child(params.seed, 0xbac4)),
       flood_rng_(util::Rng::child(params.seed, 0xf100d)) {
-  if (params_.num_hosts == 0) {
-    throw std::invalid_argument("StubNetworkSim: need at least one host");
+  // Host i is stub_prefix.host(i); the network and broadcast offsets are
+  // not hosts, and a larger index would leave the stub's own prefix.
+  const std::uint64_t size = params_.stub_prefix.size();
+  const std::uint64_t max_hosts = size > 2 ? size - 2 : 0;
+  if (params_.num_hosts == 0 || params_.num_hosts > max_hosts) {
+    throw std::invalid_argument("StubNetworkSim: num_hosts in [1, " +
+                                std::to_string(max_hosts) + "]");
   }
   const net::MacAddress router_mac = net::MacAddress::for_host(0xffffff);
   router_ = std::make_unique<LeafRouter>(params_.stub_prefix, router_mac);

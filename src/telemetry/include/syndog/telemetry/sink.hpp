@@ -24,7 +24,6 @@
 #include <utility>
 
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/telemetry/tsf.hpp"
 #include "syndog/util/time.hpp"
 
@@ -61,12 +60,6 @@ class TelemetrySink {
   /// use.
   void push_snapshot(std::uint32_t agent, util::SimTime at,
                      const obs::MetricsSnapshot& snapshot);
-
-  /// Pushes the detector-relevant events retained by an obs tracer:
-  /// PeriodRollover → "trace.syn"/"trace.syn_ack", CusumUpdate →
-  /// "trace.k"/"trace.y", alarm edges → "trace.alarm" (1/0), health
-  /// transitions → "trace.health". Other payloads are skipped.
-  void push_trace(std::uint32_t agent, const obs::EventTracer& tracer);
 
   /// Writes the tsf footer and flushes the stream. Idempotent; push()
   /// after finish() throws std::logic_error.

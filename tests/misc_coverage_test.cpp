@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/stats/histogram.hpp"
 #include "syndog/trace/render.hpp"
 #include "syndog/trace/site.hpp"
 #include "syndog/util/logging.hpp"
@@ -114,17 +113,6 @@ TEST(RenderTest, InboundConnectionsRenderMirrored) {
 }
 
 // --- presentation helpers -----------------------------------------------------------
-
-TEST(PresentationTest, HistogramRendersBars) {
-  stats::Histogram h(0.0, 10.0, 5);
-  for (int i = 0; i < 50; ++i) h.add(3.0);
-  for (int i = 0; i < 10; ++i) h.add(7.0);
-  h.add(-1.0);
-  const std::string out = h.to_string(20);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find("underflow 1"), std::string::npos);
-  EXPECT_NE(out.find("50"), std::string::npos);
-}
 
 TEST(PresentationTest, TableValueRowsAndCsvExport) {
   util::TextTable t({"fi", "prob"});

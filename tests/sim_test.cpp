@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "syndog/sim/cloud.hpp"
 #include "syndog/sim/link.hpp"
+#include "syndog/sim/multistub.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
@@ -534,6 +536,44 @@ TEST(CloudTest, CompletesInboundHandshakes) {
 }
 
 // --- StubNetworkSim end to end -----------------------------------------------------
+
+TEST(StubNetworkTest, HostCountIsBoundedByTheStubPrefix) {
+  // Host i is stub_prefix.host(i), so a /24 holds hosts 1..254; host 255
+  // would be the broadcast address and 256 would leave the prefix.
+  StubNetworkParams params;
+  params.stub_prefix = *net::Ipv4Prefix::parse("10.1.7.0/24");
+  params.num_hosts = 254;
+  StubNetworkSim sim(params);
+  EXPECT_TRUE(params.stub_prefix.contains(sim.host(254).ip()));
+
+  params.num_hosts = 255;
+  EXPECT_THROW(StubNetworkSim{params}, std::invalid_argument);
+  params.num_hosts = 0;
+  EXPECT_THROW(StubNetworkSim{params}, std::invalid_argument);
+  // The /16 default: 65535 hosts would put the last one in 10.2.0.0/16.
+  // The check runs before any host is built.
+  params.stub_prefix = StubNetworkParams{}.stub_prefix;
+  params.num_hosts = 65535;
+  EXPECT_THROW(StubNetworkSim{params}, std::invalid_argument);
+  params.num_hosts = 4294967294u;  // a CLI's "-2" after the cast
+  EXPECT_THROW(StubNetworkSim{params}, std::invalid_argument);
+}
+
+TEST(MultiStubTest, HostsPerStubIsBoundedByTheStubSlash16) {
+  // Stub s owns 10.(s+1).0.0/16; hosts_per_stub = 65535 would give stub
+  // 0's last host an address in stub 1's prefix.
+  MultiStubParams params;
+  params.stub_count = 2;
+  params.hosts_per_stub = 65535;
+  EXPECT_THROW(MultiStubSim{params}, std::invalid_argument);
+  params.hosts_per_stub = 0;
+  EXPECT_THROW(MultiStubSim{params}, std::invalid_argument);
+  params.hosts_per_stub = 3;
+  MultiStubSim sim(params);
+  for (int s = 0; s < params.stub_count; ++s) {
+    EXPECT_TRUE(sim.stub_prefix(s).contains(sim.host(s, 3).ip()));
+  }
+}
 
 TEST(StubNetworkTest, LiveHandshakesThroughRouterAndCloud) {
   StubNetworkParams params;

@@ -3,9 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "syndog/stats/histogram.hpp"
 #include "syndog/stats/online.hpp"
-#include "syndog/stats/quantile.hpp"
 #include "syndog/stats/series.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -103,70 +101,6 @@ TEST(EwmaMeanVarTest, TracksMoments) {
   EXPECT_NEAR(mv.stddev(), 3.0, 0.5);
 }
 
-// --- quantiles --------------------------------------------------------------
-
-TEST(P2QuantileTest, ExactBelowFiveSamples) {
-  P2Quantile q(0.5);
-  q.add(3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-TEST(P2QuantileTest, ApproximatesMedianOfUniform) {
-  util::Rng rng(7);
-  P2Quantile q(0.5);
-  for (int i = 0; i < 50000; ++i) q.add(rng.uniform());
-  EXPECT_NEAR(q.value(), 0.5, 0.02);
-}
-
-TEST(P2QuantileTest, ApproximatesTailQuantile) {
-  util::Rng rng(9);
-  P2Quantile q(0.95);
-  ExactQuantiles exact;
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.exponential_mean(2.0);
-    q.add(x);
-    exact.add(x);
-  }
-  EXPECT_NEAR(q.value(), exact.quantile(0.95), 0.3);
-}
-
-TEST(P2QuantileTest, RejectsBadQ) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(ExactQuantilesTest, InterpolatesAndClamps) {
-  ExactQuantiles q;
-  q.add_all({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(q.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(q.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(q.median(), 2.5);
-  EXPECT_DOUBLE_EQ(q.quantile(-1.0), 1.0);  // clamped
-  EXPECT_DOUBLE_EQ(ExactQuantiles{}.quantile(0.5), 0.0);
-}
-
-// --- Histogram --------------------------------------------------------------
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 25.0}) h.add(x);
-  EXPECT_EQ(h.total(), 7);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.count_in_bin(0), 2);  // 0.0 and 1.9
-  EXPECT_EQ(h.count_in_bin(1), 1);  // 2.0
-  EXPECT_EQ(h.count_in_bin(4), 1);  // 9.99
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_NEAR(h.cumulative_fraction(4), 1.0, 1e-12);
-}
-
-TEST(HistogramTest, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // --- series helpers ------------------------------------------------------------
 
 TEST(SeriesTest, PearsonCorrelation) {
@@ -192,23 +126,6 @@ TEST(SeriesTest, FirstCrossing) {
   EXPECT_EQ(first_crossing({0.1, 0.5}, 1.0), -1);
   EXPECT_EQ(first_crossing({}, 1.0), -1);
   EXPECT_EQ(first_crossing({1.0}, 1.0), -1);  // strictly greater
-}
-
-TEST(SeriesTest, DownsampleMean) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  const std::vector<double> ds = downsample_mean(xs, 2);
-  ASSERT_EQ(ds.size(), 3u);
-  EXPECT_DOUBLE_EQ(ds[0], 1.5);
-  EXPECT_DOUBLE_EQ(ds[1], 3.5);
-  EXPECT_DOUBLE_EQ(ds[2], 5.0);  // trailing partial group
-  EXPECT_THROW((void)downsample_mean(xs, 0), std::invalid_argument);
-}
-
-TEST(SeriesTest, Difference) {
-  const auto d = series_difference({5, 7}, {2, 10});
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], -3.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Fleet telemetry backend: syndog-tsf/1 round-trip and damage tolerance,
 // TelemetrySink (run-to-run byte identity, push-after-finish, the obs
-// adapters), rollups, and the zero-allocation guarantee on the push path.
+// snapshot adapter), rollups, and the zero-allocation guarantee on the
+// push path.
 
 #include <gtest/gtest.h>
 
@@ -311,29 +312,15 @@ TEST(TelemetrySinkTest, SnapshotAndTraceAdapters) {
   registry.gauge("depth").set(3.5);
   sink.push_snapshot(agent, SimTime::seconds(20), registry.snapshot());
 
-  syndog::obs::EventTracer tracer(16);
-  tracer.record(SimTime::seconds(20),
-                syndog::obs::PeriodRollover{0, 100, 90});
-  tracer.record(SimTime::seconds(20),
-                syndog::obs::CusumUpdate{0, 10.0, 90.0, 0.11, 0.0});
-  tracer.record(SimTime::seconds(40),
-                syndog::obs::AlarmRaised{1, 1.2, 1.05});
-  tracer.record(SimTime::seconds(60), syndog::obs::AlarmCleared{2, 0.3});
-  sink.push_trace(agent, tracer);
   sink.finish();
+  EXPECT_EQ(sink.stats().pushed, 2u);
 
   std::istringstream in(out.str());
   TsfReader reader(in);
   ASSERT_EQ(reader.end(), ReadEnd::kEof);
   EXPECT_GE(reader.find_metric("counter.packets"), 0);
   EXPECT_GE(reader.find_metric("gauge.depth"), 0);
-  EXPECT_GE(reader.find_metric("trace.syn"), 0);
-  const auto timeline =
-      syndog::telemetry::alarm_timeline(reader, "trace.alarm");
-  EXPECT_EQ(timeline.rising_edges, 1u);
-  ASSERT_EQ(timeline.edges.size(), 2u);
-  EXPECT_EQ(timeline.edges[0].at, SimTime::seconds(40));
-  EXPECT_FALSE(timeline.edges[1].raised);
+  EXPECT_EQ(reader.total_samples(), 2u);
 }
 
 // ------------------------------------------------------- allocation guard

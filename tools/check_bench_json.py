@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates BENCH_*.json sidecars against the syndog-bench/1 schema.
+"""Validates BENCH_*.json sidecars against the syndog-bench/2 schema.
 
 Every bench binary writes a machine-readable sidecar next to its stdout
 report (bench/common/sidecar.hpp). CI's bench-smoke job runs a couple of
@@ -11,9 +11,9 @@ Usage:
     check_bench_json.py FILE [FILE ...]
         [--expect name:key:lo:hi ...]
 
-Schema (syndog-bench/1):
+Schema (syndog-bench/2):
     name     non-empty string (matches the BENCH_<name>.json filename)
-    schema   the literal "syndog-bench/1"
+    schema   the literal "syndog-bench/2"
     scalars  object: str -> finite number
     text     object: str -> str
     series   object: str -> list of finite numbers; a series named "t_s"
@@ -25,7 +25,8 @@ Schema (syndog-bench/1):
                histograms  str -> {bounds: [num...] strictly increasing,
                                    counts: [int...] of len(bounds)+1,
                                    count: int, sum: finite number}
-    events   object: {recorded: int >= 0, dropped: int >= 0}
+No other top-level key is allowed, so a stale or misspelled section fails
+instead of passing unread.
 
 --expect asserts a scalar range: "table2_unc_detection:unc_k_bar:1900:2400"
 checks that the file whose name is table2_unc_detection has scalar
@@ -43,7 +44,8 @@ import math
 import sys
 from pathlib import Path
 
-SCHEMA = "syndog-bench/1"
+SCHEMA = "syndog-bench/2"
+KEYS = ("name", "schema", "scalars", "text", "series", "metrics")
 
 
 def is_finite_number(v) -> bool:
@@ -114,6 +116,9 @@ def check_file(path: Path, errors: list[str]) -> dict | None:
         err(f"name {name!r} does not match filename {path.name!r}")
     if doc.get("schema") != SCHEMA:
         err(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
+    for key in doc:
+        if key not in KEYS:
+            err(f"{key}: unexpected top-level key (allowed: {', '.join(KEYS)})")
 
     local: list[str] = []
     check_str_map(doc.get("scalars"), "scalars", is_finite_number,
@@ -156,12 +161,6 @@ def check_file(path: Path, errors: list[str]) -> dict | None:
             for hname, hist in hists.items():
                 check_histogram(hname, hist, local)
 
-    events = doc.get("events")
-    if not isinstance(events, dict) or not is_count(
-        events.get("recorded")
-    ) or not is_count(events.get("dropped")):
-        local.append("events: expected {recorded: int >= 0, dropped: int >= 0}")
-
     errors.extend(f"{path}: {msg}" for msg in local)
     return doc
 
@@ -188,7 +187,7 @@ def parse_expectation(spec: str):
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Validate BENCH_*.json sidecars (syndog-bench/1).")
+        description="Validate BENCH_*.json sidecars (syndog-bench/2).")
     parser.add_argument("files", nargs="+", type=Path)
     parser.add_argument(
         "--expect", action="append", default=[], type=parse_expectation,
