@@ -36,6 +36,7 @@
 #include "syndog/core/sniffer.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/arl_bins.hpp"
+#include "syndog/ingest/capture_source.hpp"
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/pcap/pcapng.hpp"
 #include "syndog/stats/online.hpp"
@@ -145,7 +146,7 @@ int cmd_analyze(const std::string& path, const util::Config& cfg) {
     return 1;
   }
 
-  const std::vector<pcap::Record> records = pcap::read_any_capture(file);
+  ingest::CaptureSource source(file);
   const core::SynDogParams params = parse_params(cfg);
   core::SynDog dog(params);
   core::Sniffer outbound(core::SnifferRole::kOutbound);
@@ -167,7 +168,8 @@ int cmd_analyze(const std::string& path, const util::Config& cfg) {
                    util::format_double(r.y, 3), r.alarm ? "ALARM" : ""});
   };
 
-  for (const pcap::Record& rec : records) {
+  pcap::RecordView rec;
+  while (source.next(rec)) {
     while (rec.timestamp >= period_end) {
       close_period();
       period_end += params.observation_period;
@@ -367,16 +369,12 @@ int cmd_calibrate(const std::string& path, const util::Config& cfg) {
   }
   const util::SimTime t0 = util::SimTime::seconds(cfg.get_int("t0", 20));
 
-  const std::vector<pcap::Record> records = pcap::read_any_capture(file);
-  if (records.empty()) {
-    std::fprintf(stderr, "%s: no packets\n", path.c_str());
-    return 1;
-  }
-
   // Bucket outgoing SYNs and incoming SYN/ACKs per period.
+  ingest::CaptureSource source(file);
   std::vector<std::int64_t> syns;
   std::vector<std::int64_t> acks;
-  for (const pcap::Record& rec : records) {
+  pcap::RecordView rec;
+  while (source.next(rec)) {
     const auto idx = static_cast<std::size_t>(rec.timestamp / t0);
     if (idx >= syns.size()) {
       syns.resize(idx + 1, 0);
@@ -398,6 +396,11 @@ int cmd_calibrate(const std::string& path, const util::Config& cfg) {
     }
   }
 
+  if (source.records_read() == 0) {
+    std::fprintf(stderr, "%s: no packets\n", path.c_str());
+    return 1;
+  }
+
   const trace::SiteProfile profile =
       trace::profile_counts(syns, acks, t0);
   std::printf(
@@ -407,7 +410,8 @@ int cmd_calibrate(const std::string& path, const util::Config& cfg) {
       "recommended detector parameters (c + 6 sigma rule, N = 3a):\n"
       "  a = %.3f  N = %.3f  -> detection floor %.2f SYN/s\n"
       "universal parameters would give a floor of %.2f SYN/s\n",
-      path.c_str(), records.size(), profile.periods,
+      path.c_str(), static_cast<std::size_t>(source.records_read()),
+      profile.periods,
       static_cast<long long>(t0.to_seconds()), profile.k_bar,
       profile.k_stddev, profile.k_cv, profile.c, profile.x_sigma,
       profile.recommended_a, profile.recommended_threshold,

@@ -1,6 +1,7 @@
 #include "syndog/ingest/capture_source.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace syndog::ingest {
 
@@ -42,8 +43,29 @@ CaptureSource::CaptureSource(std::istream& in) : format_(sniff_format(in)) {
   }
 }
 
-bool CaptureSource::next(pcap::Record& out) {
-  return pcap_ ? pcap_->next_into(out) : pcapng_->next_into(out);
+CaptureSource::CaptureSource(net::ByteSpan capture)
+    : format_(sniff_format(capture)) {
+  if (format_ == CaptureFormat::kPcapng) {
+    // pcapng reads record at a time from a stream; bridge the span
+    // through an owned one (one copy: the zero-copy path is classic pcap,
+    // the format line-rate captures actually use).
+    owned_in_.emplace(
+        std::string(reinterpret_cast<const char*>(capture.data()),
+                    capture.size()),
+        std::ios::binary);
+    pcapng_.emplace(*owned_in_);
+  } else {
+    pcap_.emplace(capture);
+  }
+}
+
+bool CaptureSource::next_pcapng(pcap::RecordView& out) {
+  if (!pcapng_->next_into(pcapng_record_)) return false;
+  out.timestamp = pcapng_record_.timestamp;
+  out.orig_len = pcapng_record_.orig_len;
+  out.data = net::ByteSpan{pcapng_record_.data.data(),
+                           pcapng_record_.data.size()};
+  return true;
 }
 
 pcap::ReadEnd CaptureSource::end_state() const {

@@ -158,8 +158,7 @@ class ReplayEngine final {
   sim::Scheduler scheduler_;
   CaptureSource source_;
   std::vector<ReplaySink*> sinks_;
-  pcap::Record record_;  ///< reused record buffer
-  Frame frame_;          ///< reused decode target
+  Frame frame_;  ///< reused decode target
   PipelineStats stats_;
   EpochRebase rebase_;
   obs::Registry* registry_ = nullptr;

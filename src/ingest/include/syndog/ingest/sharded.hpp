@@ -3,7 +3,8 @@
 // The reference path (CaptureSource -> ReplayEngine -> AgentDemux) is
 // byte-deterministic but single-threaded: one thread decodes, routes, and
 // counts every frame. ShardedReplay splits that work the way a NIC's RSS
-// indirection does: the producer thread frames the capture, extracts a
+// indirection does: the producer thread frames the capture through the
+// same CaptureSource the reference path reads, extracts a
 // net::FlowDigest per record, and hashes the 5-tuple with the *symmetric*
 // flow hash (flow_hash.hpp) so a flow's SYN and its returning SYN-ACK
 // land in the same SlotRing; one consumer thread per ring owns that
@@ -33,8 +34,6 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <vector>
 
 #include "syndog/core/agent.hpp"
@@ -73,15 +72,15 @@ struct ShardCounters {
 
 class ShardedReplay {
  public:
-  /// Sniffs the stream's format immediately (throws on garbage); reads no
-  /// records until run(). The stream must outlive the replay.
+  /// Opens a CaptureSource on the stream immediately (throws on garbage);
+  /// reads no records until run(). The stream must outlive the replay.
   ShardedReplay(std::istream& in, std::vector<StubSpec> stubs,
                 ShardedConfig cfg = {});
   /// Zero-copy variant for an in-memory capture (an mmap'ed file, a
   /// synthesized byte string): classic pcap frames directly out of
   /// `capture` with no block copies — the line-rate path — while pcapng
-  /// falls back to an owned stream over the same bytes. The span must
-  /// stay valid until run() returns.
+  /// falls back to an owned stream over the same bytes (both inside
+  /// CaptureSource). The span must stay valid until run() returns.
   ShardedReplay(net::ByteSpan capture, std::vector<StubSpec> stubs,
                 ShardedConfig cfg = {});
   ~ShardedReplay();
@@ -89,7 +88,7 @@ class ShardedReplay {
   ShardedReplay(const ShardedReplay&) = delete;
   ShardedReplay& operator=(const ShardedReplay&) = delete;
 
-  [[nodiscard]] CaptureFormat format() const { return format_; }
+  [[nodiscard]] CaptureFormat format() const { return source_.format(); }
 
   /// Counters land in `registry` when run() finishes:
   /// ingest.sharded.{records,frames,bytes,decode_failures,
@@ -102,7 +101,9 @@ class ShardedReplay {
   void run();
 
   [[nodiscard]] const PipelineStats& stats() const { return stats_; }
-  [[nodiscard]] pcap::ReadEnd end_state() const { return end_; }
+  [[nodiscard]] pcap::ReadEnd end_state() const {
+    return source_.end_state();
+  }
 
   [[nodiscard]] std::size_t stub_count() const { return stubs_.size(); }
   [[nodiscard]] const StubSpec& stub(std::size_t i) const;
@@ -125,32 +126,20 @@ class ShardedReplay {
  private:
   struct Shard;
 
-  void init(ShardedConfig cfg);
-  void produce();
-  void produce_pcap_stream();
-  std::size_t walk_pcap(const std::uint8_t* base, std::size_t size,
-                        std::size_t pos, bool at_end);
-  void produce_pcapng();
+  void init();
   /// Decode + rebase one record and publish its digest to its shard.
-  void feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
-                   net::ByteSpan data);
+  void feed_record(const pcap::RecordView& rec);
   void consume_shard(Shard& shard);
   void merge();
   void publish_observations();
 
-  std::istream* in_ = nullptr;              ///< null in span mode
-  net::ByteSpan span_{};                    ///< empty in stream mode
-  std::optional<std::istringstream> owned_in_;  ///< span-mode pcapng bridge
-  CaptureFormat format_;
-  pcap::FileHeader pcap_header_;            ///< classic pcap only
-  std::optional<pcap::PcapngReader> pcapng_;  ///< pcapng only
   std::vector<StubSpec> stubs_;
   ShardedConfig cfg_;
+  CaptureSource source_;  ///< read by the producer (the caller) only
   std::int64_t t0_ns_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<core::PeriodReport>> histories_;
   PipelineStats stats_;
-  pcap::ReadEnd end_ = pcap::ReadEnd::kStreaming;
   EpochRebase rebase_{TimeOrigin::kAuto};
   std::uint64_t local_ = 0;
   std::uint64_t unroutable_ = 0;

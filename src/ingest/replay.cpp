@@ -56,16 +56,17 @@ const PipelineStats& ReplayEngine::run() {
     throw std::logic_error("ReplayEngine: run() called twice");
   }
   ran_ = true;
-  while (source_.next(record_)) {
+  pcap::RecordView rec;
+  while (source_.next(rec)) {
     ++stats_.records;
-    if (!net::decode_frame_into(record_.data, frame_.packet)) {
+    if (!net::decode_frame_into(rec.data, frame_.packet)) {
       ++stats_.decode_failures;
       continue;
     }
-    frame_.at = record_.timestamp;
-    frame_.wire_bytes = record_.orig_len;
-    frame_.captured_bytes = static_cast<std::uint32_t>(record_.data.size());
-    stats_.bytes += record_.data.size();
+    frame_.at = rec.timestamp;
+    frame_.wire_bytes = rec.orig_len;
+    frame_.captured_bytes = static_cast<std::uint32_t>(rec.data.size());
+    stats_.bytes += rec.data.size();
     ++stats_.frames;
     deliver();
   }

@@ -2,10 +2,8 @@
 // `syndog_lint --explain hotpath.allocation`.
 #include "syndog/ingest/sharded.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,17 +20,6 @@
 namespace syndog::ingest {
 
 namespace {
-
-constexpr std::uint32_t bswap32(std::uint32_t v) {
-  return (v >> 24) | ((v >> 8) & 0x0000ff00U) | ((v << 8) & 0x00ff0000U) |
-         (v << 24);
-}
-
-/// Largest incl_len the record walk accepts as a plausible snap (the
-/// same guard as pcap::Reader); anything longer is garbage framing.
-constexpr std::uint64_t max_incl_len(const pcap::FileHeader& header) {
-  return std::uint64_t{header.snaplen} + 65536;
-}
 
 /// A stub prefix reduced to the two words contains() compares, so the
 /// per-digest routing scan is branch + AND + compare per stub with no
@@ -57,6 +44,13 @@ struct StubShardState {
   /// Sparse at the tail: periods past the last nonzero entry are omitted.
   std::vector<std::array<std::int64_t, 2>> periods;
 };
+
+/// `cfg` once validate() has passed, so a bad config throws before the
+/// capture is opened.
+ShardedConfig validated(ShardedConfig cfg, std::size_t stub_count) {
+  cfg.validate(stub_count);
+  return cfg;
+}
 
 }  // namespace
 
@@ -113,47 +107,21 @@ void ShardedConfig::validate(std::size_t stub_count) const {
 
 ShardedReplay::ShardedReplay(std::istream& in, std::vector<StubSpec> stubs,
                              ShardedConfig cfg)
-    : in_(&in), format_(sniff_format(in)), stubs_(std::move(stubs)) {
-  cfg.validate(stubs_.size());
-  if (format_ == CaptureFormat::kPcapng) {
-    pcapng_.emplace(in);
-  } else {
-    // The Reader consumes and validates the 24-byte file header (throwing
-    // on an unrecognized magic); the records are walked in blocks.
-    pcap_header_ = pcap::Reader(in).header();
-  }
-  init(cfg);
+    : stubs_(std::move(stubs)),
+      cfg_(validated(cfg, stubs_.size())),
+      source_(in) {
+  init();
 }
 
 ShardedReplay::ShardedReplay(net::ByteSpan capture,
                              std::vector<StubSpec> stubs, ShardedConfig cfg)
-    : span_(capture), format_(sniff_format(capture)),
-      stubs_(std::move(stubs)) {
-  cfg.validate(stubs_.size());
-  if (format_ == CaptureFormat::kPcapng) {
-    // pcapng keeps the record-at-a-time reader; bridge the span through
-    // an owned stream (one copy — the zero-copy fast path is classic
-    // pcap, the format line-rate captures actually use).
-    owned_in_.emplace(
-        std::string(reinterpret_cast<const char*>(span_.data()),
-                    span_.size()),
-        std::ios::binary);
-    pcapng_.emplace(*owned_in_);
-  } else {
-    // Parse + validate the 24-byte file header with the real Reader over
-    // a bounded bridge stream, so a malformed header throws exactly the
-    // same error as the stream constructor.
-    std::istringstream header_in(
-        std::string(reinterpret_cast<const char*>(span_.data()),
-                    std::min<std::size_t>(span_.size(), 24)),
-        std::ios::binary);
-    pcap_header_ = pcap::Reader(header_in).header();
-  }
-  init(cfg);
+    : stubs_(std::move(stubs)),
+      cfg_(validated(cfg, stubs_.size())),
+      source_(capture) {
+  init();
 }
 
-void ShardedReplay::init(ShardedConfig cfg) {
-  cfg_ = cfg;
+void ShardedReplay::init() {
   rebase_ = EpochRebase(cfg_.origin);
   t0_ns_ = cfg_.params.observation_period.ns();
   shards_.reserve(cfg_.threads);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
@@ -189,7 +157,7 @@ void ShardedReplay::run() {
   util::WorkerPool pool(static_cast<int>(shards_.size()) + 1);
   pool.run([this](int worker) {
     if (worker == 0) {
-      // Every shard hears "no more digests" even when produce() throws,
+      // Every shard hears "no more digests" even when the reader throws,
       // so no consumer spins forever.
       struct MarkDone {
         ShardedReplay& replay;
@@ -197,7 +165,8 @@ void ShardedReplay::run() {
           for (const auto& shard : replay.shards_) shard->done.store(true);
         }
       } mark_done{*this};
-      produce();
+      pcap::RecordView rec;
+      while (source_.next(rec)) feed_record(rec);
       return;
     }
     Shard& sh = *shards_[static_cast<std::size_t>(worker - 1)];
@@ -214,132 +183,24 @@ void ShardedReplay::run() {
     }
   });
 
-  stats_.truncated = end_ == pcap::ReadEnd::kTruncated;
+  stats_.truncated = source_.end_state() == pcap::ReadEnd::kTruncated;
   merge();
   publish_observations();
 }
 
-void ShardedReplay::produce() {
-  if (format_ == CaptureFormat::kPcapng) {
-    produce_pcapng();
-  } else if (in_ == nullptr) {
-    walk_pcap(span_.data(), span_.size(), 24, true);  // past the header
-  } else {
-    produce_pcap_stream();
-  }
-}
-
-/// The classic-pcap record walk over bytes [pos, size) of `base`: feeds
-/// every whole record and returns the offset of the first byte it did not
-/// consume. The end-state rules match pcap::Reader::next_into: with
-/// `at_end` (no bytes follow `size`), nothing left at a record boundary is
-/// kEof and a partial header or short data is kTruncated; without it, a
-/// partial record is left for the caller to complete. An implausible
-/// incl_len is kTruncated either way. The span constructor walks the
-/// whole capture in one call — the record walk IS the buffer, no block
-/// reads, no memmove, no copy per byte.
-std::size_t ShardedReplay::walk_pcap(const std::uint8_t* base,
-                                     std::size_t size, std::size_t pos,
-                                     bool at_end) {
-  const bool swap = pcap_header_.swapped;
-  const bool nanos = pcap_header_.nanosecond;
-  const std::uint64_t max_incl = max_incl_len(pcap_header_);
-
-  const auto load32 = [&](std::size_t off) -> std::uint32_t {
-    std::uint32_t v = 0;
-    std::memcpy(&v, base + pos + off, 4);
-    return swap ? bswap32(v) : v;
-  };
-
-  // The record walk chases a serial dependency (this record's length ->
-  // next record's address), which a cold span turns into one DRAM-latency
-  // stall per record. Streaming prefetch a few KiB ahead keeps the walk
-  // bandwidth-bound instead — the same effect block-copying into a warm
-  // buffer has, without writing 1 MiB blocks nobody reads twice.
-  constexpr std::size_t kPrefetchAheadBytes = 4096;
-  std::size_t prefetched = pos;
-
-  for (;;) {
-    const std::size_t want = std::min(pos + kPrefetchAheadBytes, size);
-    while (prefetched < want) {
-      __builtin_prefetch(base + prefetched, 0, 3);
-      prefetched += 64;
-    }
-    if (size - pos < 16) {
-      if (at_end) {
-        end_ = size == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
-      }
-      return pos;
-    }
-    const std::uint32_t ts_sec = load32(0);
-    const std::uint32_t ts_frac = load32(4);
-    const std::uint32_t incl = load32(8);
-    const std::uint32_t orig = load32(12);
-    if (std::uint64_t{incl} > max_incl) {
-      // Garbage framing, not a plausible snap.
-      end_ = pcap::ReadEnd::kTruncated;
-      return pos;
-    }
-    if (size - pos - 16 < incl) {
-      if (at_end) end_ = pcap::ReadEnd::kTruncated;
-      return pos;
-    }
-    const std::int64_t ts_ns =
-        std::int64_t{ts_sec} * 1'000'000'000 +
-        (nanos ? std::int64_t{ts_frac} : std::int64_t{ts_frac} * 1000);
-    feed_record(ts_ns, orig, net::ByteSpan{base + pos + 16, incl});
-    pos += 16U + incl;
-  }
-}
-
-/// Classic pcap from a stream: the constructor's Reader already consumed
-/// the file header; from here the records are walked out of ~1 MiB block
-/// reads, so steady state costs one istream::read per block instead of
-/// two per record. A record cut by the block end moves to the front of
-/// the buffer and completes with the next read.
-void ShardedReplay::produce_pcap_stream() {
-  std::vector<std::uint8_t> buf;
-  buf.resize(std::max<std::size_t>(  // syndog-lint: allow(hotpath.allocation) -- one block buffer per capture, sized up front
-      std::size_t{1} << 20,
-      static_cast<std::size_t>(max_incl_len(pcap_header_)) + 16));
-  std::size_t filled = 0;
-  for (;;) {
-    in_->read(reinterpret_cast<char*>(buf.data() + filled),
-              static_cast<std::streamsize>(buf.size() - filled));
-    const auto got = static_cast<std::size_t>(in_->gcount());
-    filled += got;
-    const std::size_t pos = walk_pcap(buf.data(), filled, 0, got == 0);
-    if (end_ != pcap::ReadEnd::kStreaming) return;
-    std::memmove(buf.data(), buf.data() + pos, filled - pos);
-    filled -= pos;
-  }
-}
-
-/// pcapng: the record-at-a-time reader — correctness over peak rate off
-/// the classic format.
-void ShardedReplay::produce_pcapng() {
-  pcap::Record rec;
-  while (pcapng_->next_into(rec)) {
-    feed_record(rec.timestamp.ns(), rec.orig_len,
-                net::ByteSpan{rec.data.data(), rec.data.size()});
-  }
-  end_ = pcapng_->end_state();
-}
-
-void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
-                                net::ByteSpan data) {
+void ShardedReplay::feed_record(const pcap::RecordView& rec) {
   ++stats_.records;
   net::FlowDigest digest;
-  if (!net::extract_flow_digest(data, digest)) {
+  if (!net::extract_flow_digest(rec.data, digest)) {
     ++stats_.decode_failures;
     return;
   }
-  stats_.bytes += data.size();
+  stats_.bytes += rec.data.size();
   ++stats_.frames;
 
   // Same clock rule as ReplayEngine: only decoded frames reach it.
-  digest.at_ns = rebase_.next(util::SimTime::nanoseconds(ts_ns)).ns();
-  digest.wire_bytes = orig_len;
+  digest.at_ns = rebase_.next(rec.timestamp).ns();
+  digest.wire_bytes = rec.orig_len;
 
   Shard& sh = *shards_[shard_of(flow_hash(digest), shards_.size())];
   net::FlowDigest* slot = sh.ring.try_claim();

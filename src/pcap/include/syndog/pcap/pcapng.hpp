@@ -96,8 +96,4 @@ class PcapngReader {
   LinkType last_link_ = LinkType::kEthernet;
 };
 
-/// Sniffs the first bytes of a stream and constructs the right reader;
-/// returns records from either format. Throws on unrecognizable input.
-[[nodiscard]] std::vector<Record> read_any_capture(std::istream& in);
-
 }  // namespace syndog::pcap

@@ -1,5 +1,6 @@
 #include "syndog/pcap/pcap.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -10,10 +11,11 @@ namespace syndog::pcap {
 
 namespace {
 
-using net::byteswap16;
 using net::byteswap32;
 using net::load_le16;
 using net::load_le32;
+
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;  ///< stream reads
 
 // pcap files are written in the *host* byte order of the capturing machine;
 // we always emit little-endian (the dominant convention) and byte-swap on
@@ -29,22 +31,6 @@ void put_le32(std::ostream& out, std::uint32_t v) {
                          static_cast<char>(v >> 16),
                          static_cast<char>(v >> 24)};
   out.write(bytes, 4);
-}
-
-bool get_le32(std::istream& in, std::uint32_t& v) {
-  std::uint8_t bytes[4];
-  in.read(reinterpret_cast<char*>(bytes), 4);
-  if (in.gcount() != 4) return false;
-  v = load_le32(bytes);
-  return true;
-}
-
-bool get_le16(std::istream& in, std::uint16_t& v) {
-  std::uint8_t bytes[2];
-  in.read(reinterpret_cast<char*>(bytes), 2);
-  if (in.gcount() != 2) return false;
-  v = load_le16(bytes);
-  return true;
 }
 
 }  // namespace
@@ -96,12 +82,26 @@ void Writer::flush() {
   if (!out_) throw std::runtime_error("pcap::Writer: flush failed");
 }
 
-Reader::Reader(std::istream& in) : in_(in) {
-  std::uint32_t magic = 0;
-  if (!get_le32(in_, magic)) {
+Reader::Reader(std::istream& in) : in_(&in) {
+  std::uint8_t bytes[24];
+  in.read(reinterpret_cast<char*>(bytes), sizeof bytes);
+  parse_header(
+      net::ByteSpan{bytes, static_cast<std::size_t>(in.gcount())});
+  block_size_ = kBlockBytes;
+  block_ = std::make_unique_for_overwrite<std::uint8_t[]>(block_size_);
+  base_ = block_.get();
+}
+
+Reader::Reader(net::ByteSpan capture)
+    : base_(capture.data()), size_(capture.size()), pos_(24) {
+  parse_header(capture.first(std::min<std::size_t>(capture.size(), 24)));
+}
+
+void Reader::parse_header(net::ByteSpan bytes) {
+  if (bytes.size() < 4) {
     throw std::runtime_error("pcap::Reader: empty file");
   }
-  switch (magic) {
+  switch (load_le32(bytes.data())) {
     case FileHeader::kMagicMicros:
       break;
     case FileHeader::kMagicNanos:
@@ -117,75 +117,79 @@ Reader::Reader(std::istream& in) : in_(in) {
     default:
       throw std::runtime_error("pcap::Reader: bad magic number");
   }
-  std::uint16_t vmaj = 0;
-  std::uint16_t vmin = 0;
-  std::uint32_t thiszone = 0;
-  std::uint32_t sigfigs = 0;
-  std::uint32_t snaplen = 0;
-  std::uint32_t link = 0;
-  if (!get_le16(in_, vmaj) || !get_le16(in_, vmin) ||
-      !get_le32(in_, thiszone) || !get_le32(in_, sigfigs) ||
-      !get_le32(in_, snaplen) || !get_le32(in_, link)) {
+  if (bytes.size() < 24) {
     throw std::runtime_error("pcap::Reader: truncated file header");
   }
-  header_.version_major = fix16(vmaj);
-  header_.version_minor = fix16(vmin);
-  header_.thiszone = static_cast<std::int32_t>(fix32(thiszone));
-  header_.sigfigs = fix32(sigfigs);
-  header_.snaplen = fix32(snaplen);
-  header_.link_type = static_cast<LinkType>(fix32(link));
+  const std::uint8_t* p = bytes.data();
+  header_.version_major = fix16(load_le16(p + 4));
+  header_.version_minor = fix16(load_le16(p + 6));
+  header_.thiszone = static_cast<std::int32_t>(fix32(load_le32(p + 8)));
+  header_.sigfigs = fix32(load_le32(p + 12));
+  header_.snaplen = fix32(load_le32(p + 16));
+  header_.link_type = static_cast<LinkType>(fix32(load_le32(p + 20)));
   if (header_.version_major != 2) {
     throw std::runtime_error("pcap::Reader: unsupported pcap version " +
                              std::to_string(header_.version_major));
   }
+  max_incl_ = std::uint64_t{header_.snaplen} + 65536;
 }
 
-std::uint32_t Reader::fix32(std::uint32_t v) const {
-  return header_.swapped ? byteswap32(v) : v;
+bool Reader::refill() {
+  if (in_ == nullptr) return false;
+  const std::size_t keep = size_ - pos_;
+  if (keep == block_size_) {
+    // One partial record fills the block: double it. The block never
+    // exceeds twice the bytes that actually arrived, whatever incl_len
+    // claims.
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(2 * keep);
+    std::memcpy(bigger.get(), block_.get(), keep);
+    block_ = std::move(bigger);
+    block_size_ = 2 * keep;
+    base_ = block_.get();
+  } else if (keep != 0) {
+    std::memmove(block_.get(), block_.get() + pos_, keep);
+  }
+  in_->read(reinterpret_cast<char*>(block_.get() + keep),
+            static_cast<std::streamsize>(block_size_ - keep));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  size_ = keep + got;
+  pos_ = 0;
+  prefetched_ = 0;
+  return got != 0;
 }
 
-std::uint16_t Reader::fix16(std::uint16_t v) const {
-  return header_.swapped ? byteswap16(v) : v;
+bool Reader::next_view_slow(RecordView& out) {
+  if (end_ != ReadEnd::kStreaming) return false;
+  for (;;) {
+    prefetch_ahead();
+    const std::size_t avail = size_ - pos_;
+    if (avail >= kRecordHeaderBytes) {
+      const std::uint32_t incl = field(pos_ + 8);
+      if (incl > max_incl_) {
+        // Garbage framing, not a plausible snap.
+        end_ = ReadEnd::kTruncated;
+        return false;
+      }
+      if (avail - kRecordHeaderBytes >= incl) {
+        take(incl, out);
+        return true;
+      }
+    }
+    // A whole record is not in view: read more, or end. Nothing left is
+    // a clean end; a partial header or short data is a cut record.
+    if (!refill()) {
+      end_ = avail == 0 ? ReadEnd::kEof : ReadEnd::kTruncated;
+      return false;
+    }
+  }
 }
 
 bool Reader::next_into(Record& out) {
-  if (end_ != ReadEnd::kStreaming) return false;
-  // Read the 16-byte record header as one block so a partial header —
-  // even a cut inside the first field, which the old field-by-field reads
-  // mistook for clean EOF — is reported as truncation.
-  std::uint8_t header[16];
-  in_.read(reinterpret_cast<char*>(header), sizeof header);
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  if (got == 0) {
-    end_ = ReadEnd::kEof;
-    return false;
-  }
-  if (got != sizeof header) {
-    end_ = ReadEnd::kTruncated;
-    return false;
-  }
-  const std::uint32_t sec = fix32(load_le32(header));
-  const std::uint32_t frac = fix32(load_le32(header + 4));
-  const std::uint32_t incl = fix32(load_le32(header + 8));
-  const std::uint32_t orig = fix32(load_le32(header + 12));
-  if (incl > header_.snaplen + 65536) {
-    // Sanity bound: a wildly large length means a corrupt record header.
-    end_ = ReadEnd::kTruncated;
-    return false;
-  }
-
-  out.orig_len = orig;
-  out.data.resize(incl);  // reuses the buffer's capacity once warmed up
-  in_.read(reinterpret_cast<char*>(out.data.data()), incl);
-  if (static_cast<std::uint32_t>(in_.gcount()) != incl) {
-    end_ = ReadEnd::kTruncated;
-    return false;
-  }
-  const std::int64_t frac_ns =
-      header_.nanosecond ? frac : std::int64_t{frac} * 1'000;
-  out.timestamp =
-      util::SimTime::nanoseconds(std::int64_t{sec} * 1'000'000'000 + frac_ns);
-  ++records_;
+  RecordView view;
+  if (!next_view(view)) return false;
+  out.timestamp = view.timestamp;
+  out.orig_len = view.orig_len;
+  out.data.assign(view.data.begin(), view.data.end());
   return true;
 }
 

@@ -300,28 +300,4 @@ std::vector<Record> PcapngReader::read_all() {
   return out;
 }
 
-std::vector<Record> read_any_capture(std::istream& in) {
-  // Sniff the first 4 bytes.
-  char magic_bytes[4];
-  in.read(magic_bytes, 4);
-  if (in.gcount() != 4) {
-    throw std::runtime_error("capture: file too short");
-  }
-  for (int i = 3; i >= 0; --i) in.putback(magic_bytes[i]);
-
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, magic_bytes, 4);
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) |
-               static_cast<std::uint8_t>(magic_bytes[i]);
-  }
-  if (le_magic == kSectionHeaderBlock) {
-    PcapngReader reader(in);
-    return reader.read_all();
-  }
-  Reader reader(in);  // classic pcap (throws on bad magic)
-  return reader.read_all();
-}
-
 }  // namespace syndog::pcap

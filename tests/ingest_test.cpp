@@ -10,8 +10,10 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "syndog/core/sniffer.hpp"
@@ -272,7 +274,7 @@ TEST(CaptureSourceTest, SniffsClassicPcap) {
   std::istringstream in(capture, std::ios::binary);
   CaptureSource source(in);
   EXPECT_EQ(source.format(), CaptureFormat::kPcap);
-  pcap::Record rec;
+  pcap::RecordView rec;
   std::size_t n = 0;
   while (source.next(rec)) ++n;
   EXPECT_EQ(n, 3u);
@@ -286,7 +288,7 @@ TEST(CaptureSourceTest, SniffsPcapng) {
                net::encode_frame(sample_packet(1, false)));
   CaptureSource source(buf);
   EXPECT_EQ(source.format(), CaptureFormat::kPcapng);
-  pcap::Record rec;
+  pcap::RecordView rec;
   EXPECT_TRUE(source.next(rec));
   EXPECT_FALSE(source.next(rec));
   EXPECT_EQ(source.end_state(), pcap::ReadEnd::kEof);
@@ -295,6 +297,43 @@ TEST(CaptureSourceTest, SniffsPcapng) {
 TEST(CaptureSourceTest, RejectsGarbage) {
   std::istringstream in("not a capture at all", std::ios::binary);
   EXPECT_THROW(CaptureSource source(in), std::runtime_error);
+}
+
+net::ByteSpan span_of(const std::string& bytes) {
+  return {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()};
+}
+
+TEST(CaptureSourceTest, DispatchesOnMagic) {
+  // One record in each format, through the stream and the span
+  // constructors; junk throws from both.
+  const net::ByteBuffer frame = net::encode_frame(sample_packet(3, false));
+  std::ostringstream classic(std::ios::binary);
+  pcap::Writer(classic).write(SimTime::seconds(2), frame);
+  std::ostringstream modern(std::ios::binary);
+  pcap::PcapngWriter(modern).write(SimTime::seconds(2), frame);
+  for (const auto& [capture, format] :
+       {std::pair{classic.str(), CaptureFormat::kPcap},
+        std::pair{modern.str(), CaptureFormat::kPcapng}}) {
+    std::istringstream in(capture, std::ios::binary);
+    CaptureSource from_stream(in);
+    CaptureSource from_span(span_of(capture));
+    for (CaptureSource* source : {&from_stream, &from_span}) {
+      EXPECT_EQ(source->format(), format);
+      pcap::RecordView rec;
+      ASSERT_TRUE(source->next(rec));
+      EXPECT_TRUE(std::equal(rec.data.begin(), rec.data.end(),
+                             frame.begin(), frame.end()));
+      EXPECT_EQ(rec.timestamp, SimTime::seconds(2));
+      EXPECT_EQ(rec.orig_len, frame.size());
+      EXPECT_FALSE(source->next(rec));
+      EXPECT_EQ(source->end_state(), pcap::ReadEnd::kEof);
+      EXPECT_EQ(source->records_read(), 1u);
+    }
+  }
+  const std::string junk = "????????";
+  std::istringstream junk_in(junk, std::ios::binary);
+  EXPECT_THROW(CaptureSource source(junk_in), std::runtime_error);
+  EXPECT_THROW(CaptureSource source(span_of(junk)), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -943,8 +982,8 @@ TEST(IngestShardedTest, MatchesOracleThroughSynAckCollapse) {
 
 /// Runs `capture` through the ByteSpan (zero-copy) constructor and
 /// asserts stats, end state, routing tallies, and every history field
-/// match the stream-constructed run — the span producer re-implements
-/// the pcap record walk, so framing equivalence is its own contract.
+/// match the stream-constructed run — pcap::Reader walks a span in place
+/// but a stream in blocks, so framing equivalence is its own contract.
 void expect_span_matches_stream(const std::string& capture,
                                 std::size_t threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -1079,13 +1118,97 @@ TEST(IngestShardedTest, SpanSourceMatchesStreamSourceAcrossBlocks) {
   }
 }
 
+TEST(IngestShardedTest, HugeSnaplenMatchesOracle) {
+  // A valid capture whose header declares snaplen 0xFFFF0000: the
+  // snaplen + 65536 length guard must not wrap in 32 bits, so every
+  // datapath reads all three records to a clean end.
+  std::ostringstream out(std::ios::binary);
+  pcap::Writer writer(out, pcap::LinkType::kEthernet, false, 0xFFFF0000);
+  for (std::uint32_t host = 1; host <= 3; ++host) {
+    writer.write(SimTime::seconds(host),
+                 net::encode_frame(sample_packet(host, false)));
+  }
+  writer.flush();
+  const std::string capture = std::move(out).str();
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+  const OracleResult oracle = run_oracle(capture, stubs, params);
+  EXPECT_EQ(oracle.stats.records, 3u);
+  EXPECT_EQ(oracle.end, pcap::ReadEnd::kEof);
+
+  ShardedConfig cfg;
+  cfg.threads = 2;
+  cfg.params = params;
+  ShardedReplay from_span(span_of(capture), stubs, cfg);
+  from_span.run();
+  expect_matches_oracle(from_span, oracle);
+  std::istringstream in(capture, std::ios::binary);
+  ShardedReplay from_stream(in, stubs, cfg);
+  from_stream.run();
+  expect_matches_oracle(from_stream, oracle);
+}
+
+TEST(IngestShardedTest, HugeRecordLengthAllocatesOnlyWhatArrives) {
+  // snaplen 0xFFFFFFFF lets a record header claim incl_len 0xFFFF0000
+  // past the plausibility guard; only 100 bytes follow. Every source
+  // must stop kTruncated with no record, and size nothing from the
+  // claimed length: no single request above 4 MiB.
+  std::ostringstream out(std::ios::binary);
+  pcap::Writer(out, pcap::LinkType::kEthernet, false, 0xFFFFFFFF);
+  std::string capture = std::move(out).str();
+  for (const std::uint32_t field : {0u, 0u, 0xFFFF0000u, 0xFFFF0000u}) {
+    for (int i = 0; i < 4; ++i) {
+      capture.push_back(static_cast<char>(field >> (8 * i)));
+    }
+  }
+  capture.append(100, '\xAB');
+  constexpr std::size_t kLimit = std::size_t{4} << 20;
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+
+  for (const bool span : {false, true}) {
+    SCOPED_TRACE(span ? "span" : "stream");
+    std::istringstream in(capture, std::ios::binary);
+    testsupport::AllocGuard guard;
+    std::optional<CaptureSource> source;
+    if (span) {
+      source.emplace(span_of(capture));
+    } else {
+      source.emplace(in);
+    }
+    pcap::RecordView rec;
+    const bool got = source->next(rec);
+    guard.stop();
+    EXPECT_FALSE(got);
+    EXPECT_EQ(source->end_state(), pcap::ReadEnd::kTruncated);
+    EXPECT_EQ(source->records_read(), 0u);
+    EXPECT_LE(guard.largest(), kLimit);
+  }
+  for (const bool span : {false, true}) {
+    SCOPED_TRACE(span ? "sharded span" : "sharded stream");
+    std::istringstream in(capture, std::ios::binary);
+    ShardedConfig cfg;
+    cfg.threads = 1;
+    testsupport::AllocGuard guard;
+    std::optional<ShardedReplay> sharded;
+    if (span) {
+      sharded.emplace(span_of(capture), stubs, cfg);
+    } else {
+      sharded.emplace(in, stubs, cfg);
+    }
+    sharded->run();
+    guard.stop();
+    EXPECT_EQ(sharded->end_state(), pcap::ReadEnd::kTruncated);
+    EXPECT_EQ(sharded->stats().records, 0u);
+    EXPECT_TRUE(sharded->stats().truncated);
+    EXPECT_LE(guard.largest(), kLimit);
+  }
+}
+
 TEST(IngestShardedTest, SpanSourceRejectsGarbage) {
   const std::vector<StubSpec> stubs = {
       {*net::Ipv4Prefix::parse("10.1.0.0/16"), "s"}};
-  const auto span_of = [](const std::string& bytes) {
-    return net::ByteSpan{
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()};
-  };
   const std::string tiny = "abc";  // shorter than the 4-byte magic sniff
   EXPECT_THROW(ShardedReplay(span_of(tiny), stubs, {}),
                std::runtime_error);

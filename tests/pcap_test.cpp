@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "syndog/net/packet.hpp"
 #include "syndog/pcap/pcap.hpp"
@@ -204,6 +206,109 @@ TEST(PcapTest, PartialRecordHeaderIsTruncationNotEof) {
     EXPECT_EQ(reader.end_state(), ReadEnd::kTruncated)
         << "partial header of " << partial << " bytes";
   }
+}
+
+TEST(PcapTest, HugeSnaplenDoesNotWrapTheLengthGuard) {
+  // snaplen + 65536 overflows 32 bits here; the guard must not wrap to a
+  // tiny bound that rejects every real record.
+  std::stringstream buf;
+  Writer writer(buf, LinkType::kEthernet, false, 0xFFFF0000);
+  for (std::uint32_t host = 1; host <= 3; ++host) {
+    writer.write(util::SimTime::seconds(host), sample_frame(host));
+  }
+  Reader reader(buf);
+  EXPECT_EQ(reader.header().snaplen, 0xFFFF0000u);
+  EXPECT_EQ(reader.read_all().size(), 3u);
+  EXPECT_EQ(reader.end_state(), ReadEnd::kEof);
+}
+
+net::ByteSpan span_of(const std::string& bytes) {
+  return {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()};
+}
+
+TEST(PcapTest, SpanReaderViewsRecordsInPlace) {
+  std::stringstream buf;
+  Writer writer(buf, LinkType::kEthernet, true);
+  writer.write(util::SimTime::nanoseconds(1'000'000'007), sample_frame(1));
+  writer.write(util::SimTime::nanoseconds(2'000'000'009), sample_frame(2));
+  const std::string capture = buf.str();
+  Reader reader(span_of(capture));
+  EXPECT_TRUE(reader.header().nanosecond);
+  for (std::uint32_t host = 1; host <= 2; ++host) {
+    RecordView view;
+    ASSERT_TRUE(reader.next_view(view));
+    const net::ByteBuffer want = sample_frame(host);
+    EXPECT_EQ(net::ByteBuffer(view.data.begin(), view.data.end()), want);
+    EXPECT_EQ(view.orig_len, want.size());
+    EXPECT_EQ(view.timestamp.ns(), host * 1'000'000'000LL + 5 + 2 * host);
+    // Zero-copy: the view points into the capture bytes themselves.
+    EXPECT_GE(view.data.data(),
+              reinterpret_cast<const std::uint8_t*>(capture.data()));
+    EXPECT_LE(view.data.data() + view.data.size(),
+              reinterpret_cast<const std::uint8_t*>(capture.data()) +
+                  capture.size());
+  }
+  RecordView view;
+  EXPECT_FALSE(reader.next_view(view));
+  EXPECT_EQ(reader.end_state(), ReadEnd::kEof);
+  EXPECT_EQ(reader.records_read(), 2u);
+}
+
+TEST(PcapTest, SpanReaderMatchesStreamReaderOnDamage) {
+  std::stringstream buf;
+  Writer writer(buf);
+  for (std::uint32_t host = 1; host <= 4; ++host) {
+    writer.write(util::SimTime::seconds(host), sample_frame(host));
+  }
+  const std::string full = buf.str();
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    const std::string cut = full.substr(0, len);
+    std::stringstream in(cut);
+    if (len < 24) {
+      // Same header parse, same error, in both modes.
+      const auto error_of = [](auto&& source) -> std::string {
+        try {
+          Reader reader(source);
+        } catch (const std::runtime_error& e) {
+          return e.what();
+        }
+        return "no error";
+      };
+      const std::string want = error_of(in);
+      EXPECT_NE(want, "no error");
+      EXPECT_EQ(error_of(span_of(cut)), want);
+      continue;
+    }
+    Reader from_stream(in);
+    Reader from_span(span_of(cut));
+    const std::vector<Record> want = from_stream.read_all();
+    const std::vector<Record> got = from_span.read_all();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].data, want[i].data);
+      EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+    }
+    EXPECT_EQ(from_span.end_state(), from_stream.end_state());
+  }
+}
+
+TEST(PcapTest, RecordLargerThanOneBlockStreams) {
+  // Stream reads come in ~1 MiB blocks; a 3 MiB record (legal under a
+  // large snaplen) makes the block grow as its bytes arrive.
+  const net::ByteBuffer big(3 << 20, 0x5a);
+  std::stringstream buf;
+  Writer writer(buf, LinkType::kEthernet, false, 0xFFFFFFFF);
+  writer.write(util::SimTime::seconds(1), sample_frame(1));
+  writer.write(util::SimTime::seconds(2), big);
+  writer.write(util::SimTime::seconds(3), sample_frame(3));
+  Reader reader(buf);
+  const std::vector<Record> records = reader.read_all();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].data, sample_frame(1));
+  EXPECT_EQ(records[1].data, big);
+  EXPECT_EQ(records[2].data, sample_frame(3));
+  EXPECT_EQ(reader.end_state(), ReadEnd::kEof);
 }
 
 TEST(PcapTest, NextIntoReusesCallerBuffer) {

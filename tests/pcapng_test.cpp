@@ -216,28 +216,5 @@ TEST(PcapngTest, FlushSurfacesSyncFailure) {
   EXPECT_THROW(writer.flush(), std::runtime_error);
 }
 
-TEST(ReadAnyCaptureTest, DispatchesOnMagic) {
-  const net::ByteBuffer frame = sample_frame(3);
-  {
-    std::stringstream classic;
-    Writer writer(classic);
-    writer.write(util::SimTime::seconds(2), frame);
-    const auto records = read_any_capture(classic);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].data, frame);
-  }
-  {
-    std::stringstream modern;
-    PcapngWriter writer(modern);
-    writer.write(util::SimTime::seconds(2), frame);
-    const auto records = read_any_capture(modern);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].data, frame);
-    EXPECT_EQ(records[0].timestamp, util::SimTime::seconds(2));
-  }
-  std::stringstream junk("????????");
-  EXPECT_THROW((void)read_any_capture(junk), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace syndog::pcap

@@ -13,6 +13,7 @@
 //     syndog::testsupport::AllocGuard guard;
 //     hot_loop();
 //     EXPECT_EQ(guard.stop(), 0u);
+//     EXPECT_LE(guard.largest(), limit);  // biggest single request
 //
 // The default operator new[]/delete[] forward to these, so every heap
 // allocation made by the binary is counted while the guard is live.
@@ -30,6 +31,16 @@ namespace syndog::testsupport {
 namespace detail {
 inline std::atomic<bool> g_count_allocs{false};
 inline std::atomic<std::size_t> g_alloc_count{0};
+inline std::atomic<std::size_t> g_largest_alloc{0};
+
+inline void count_alloc(std::size_t size) {
+  if (!g_count_allocs.load(std::memory_order_relaxed)) return;
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_alloc.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace detail
 
 /// RAII window during which global heap allocations are counted.
@@ -40,6 +51,7 @@ class AllocGuard {
  public:
   AllocGuard() {
     detail::g_alloc_count.store(0, std::memory_order_relaxed);
+    detail::g_largest_alloc.store(0, std::memory_order_relaxed);
     detail::g_count_allocs.store(true, std::memory_order_relaxed);
   }
   ~AllocGuard() { detail::g_count_allocs.store(false, std::memory_order_relaxed); }
@@ -53,15 +65,17 @@ class AllocGuard {
     detail::g_count_allocs.store(false, std::memory_order_relaxed);
     return detail::g_alloc_count.load(std::memory_order_relaxed);
   }
+
+  /// Largest single request, in bytes, seen while counting.
+  std::size_t largest() const {
+    return detail::g_largest_alloc.load(std::memory_order_relaxed);
+  }
 };
 
 }  // namespace syndog::testsupport
 
 [[gnu::noinline]] void* operator new(std::size_t size) {
-  namespace d = syndog::testsupport::detail;
-  if (d::g_count_allocs.load(std::memory_order_relaxed)) {
-    d::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  syndog::testsupport::detail::count_alloc(size);
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -69,10 +83,7 @@ class AllocGuard {
 
 [[gnu::noinline]] void* operator new(std::size_t size,
                                      const std::nothrow_t&) noexcept {
-  namespace d = syndog::testsupport::detail;
-  if (d::g_count_allocs.load(std::memory_order_relaxed)) {
-    d::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  syndog::testsupport::detail::count_alloc(size);
   if (size == 0) size = 1;
   return std::malloc(size);
 }
